@@ -4,31 +4,13 @@
 #
 #   $ scripts/check.sh            # both configs
 #   $ scripts/check.sh release    # just the plain build
-#   $ scripts/check.sh asan       # just the sanitized build
-#   $ scripts/check.sh telemetry  # just the telemetry suite under ASan+UBSan
-#                                 # (fast gate for the registry's
-#                                 # concurrency contract)
-#   $ scripts/check.sh chaos      # fault-injection suite under ASan+UBSan
-#                                 # (breaker/injector/chaos-service tests)
-#   $ scripts/check.sh slo        # tracing + SLO suite under ASan+UBSan
-#                                 # (span trees, exporters, burn-rate math)
-#   $ scripts/check.sh cluster    # fleet suite under ASan+UBSan (router,
-#                                 # ring, spill/steal, passthrough
-#                                 # equivalence)
-#   $ scripts/check.sh tsdb       # time-series suite under ASan+UBSan, then
-#                                 # a same-seed cluster_loadgen --series-out
-#                                 # byte-identity smoke checked with
-#                                 # metrics_diff.py --series
-#   $ scripts/check.sh membership # failure-domain suites under ASan+UBSan
-#                                 # (table/journal/detector + cluster crash,
-#                                 # drain, replay), then crash-schedule
-#                                 # byte-identity and exit-2 flag-validation
-#                                 # smokes on cluster_loadgen
-#   $ scripts/check.sh profile    # profiling/attribution suites under
-#                                 # ASan+UBSan, then profiler-on determinism
-#                                 # + profiler-off snapshot byte-identity,
-#                                 # conservation smokes, exit-2 flag
-#                                 # validation, and the instrument-name lint
+#   $ scripts/check.sh asan       # just the sanitized build: every test,
+#                                 # then the loadgen smokes (same-seed
+#                                 # series, crash/drain and profiler byte
+#                                 # identity, profiler-off snapshot
+#                                 # identity, cost conservation, exit-2
+#                                 # flag validation) and the
+#                                 # instrument-name lint
 #   $ scripts/check.sh perf       # Release event-core throughput gate only:
 #                                 # a 10^5-job serve_loadgen smoke with
 #                                 # --perf, then the serve_perf wall-clock
@@ -49,7 +31,6 @@ fi
 
 for config in "${configs[@]}"; do
   target=""
-  test_regex=""
   case "$config" in
     release)
       dir=build
@@ -59,55 +40,13 @@ for config in "${configs[@]}"; do
       dir=build-asan
       flags=(-DCMAKE_BUILD_TYPE=RelWithDebInfo -DGHS_SANITIZE=ON)
       ;;
-    telemetry)
-      dir=build-asan
-      flags=(-DCMAKE_BUILD_TYPE=RelWithDebInfo -DGHS_SANITIZE=ON)
-      target=telemetry_tests
-      test_regex=telemetry_tests
-      ;;
-    chaos)
-      dir=build-asan
-      flags=(-DCMAKE_BUILD_TYPE=RelWithDebInfo -DGHS_SANITIZE=ON)
-      target="fault_tests serve_tests"
-      test_regex="fault_tests|serve_tests"
-      ;;
-    slo)
-      dir=build-asan
-      flags=(-DCMAKE_BUILD_TYPE=RelWithDebInfo -DGHS_SANITIZE=ON)
-      target="trace_tests slo_tests"
-      test_regex="trace_tests|slo_tests"
-      ;;
-    cluster)
-      dir=build-asan
-      flags=(-DCMAKE_BUILD_TYPE=RelWithDebInfo -DGHS_SANITIZE=ON)
-      target=cluster_tests
-      test_regex=cluster_tests
-      ;;
-    tsdb)
-      dir=build-asan
-      flags=(-DCMAKE_BUILD_TYPE=RelWithDebInfo -DGHS_SANITIZE=ON)
-      target="timeseries_tests cluster_loadgen"
-      test_regex=timeseries_tests
-      ;;
-    membership)
-      dir=build-asan
-      flags=(-DCMAKE_BUILD_TYPE=RelWithDebInfo -DGHS_SANITIZE=ON)
-      target="membership_tests cluster_tests cluster_loadgen"
-      test_regex="membership_tests|cluster_tests"
-      ;;
-    profile)
-      dir=build-asan
-      flags=(-DCMAKE_BUILD_TYPE=RelWithDebInfo -DGHS_SANITIZE=ON)
-      target="profile_tests bench_tests serve_loadgen chaos_loadgen cluster_loadgen"
-      test_regex="profile_tests|bench_tests"
-      ;;
     perf)
       dir=build
       flags=(-DCMAKE_BUILD_TYPE=Release -DGHS_SANITIZE=OFF)
       target=serve_loadgen
       ;;
     *)
-      echo "unknown config '$config' (release|asan|telemetry|chaos|slo|cluster|tsdb|membership|profile|perf)" >&2
+      echo "unknown config '$config' (release|asan|perf)" >&2
       exit 2
       ;;
   esac
@@ -115,8 +54,7 @@ for config in "${configs[@]}"; do
   cmake -B "$dir" -S . "${flags[@]}"
   echo "==> build $config"
   if [[ -n "$target" ]]; then
-    # shellcheck disable=SC2086  # $target may list several test binaries
-    cmake --build "$dir" -j "$jobs" --target $target
+    cmake --build "$dir" -j "$jobs" --target "$target"
   else
     cmake --build "$dir" -j "$jobs"
   fi
@@ -131,12 +69,8 @@ for config in "${configs[@]}"; do
     continue
   fi
   echo "==> test $config"
-  if [[ -n "$test_regex" ]]; then
-    ctest --test-dir "$dir" --output-on-failure -j "$jobs" -R "$test_regex"
-  else
-    ctest --test-dir "$dir" --output-on-failure -j "$jobs"
-  fi
-  if [[ "$config" == tsdb ]]; then
+  ctest --test-dir "$dir" --output-on-failure -j "$jobs"
+  if [[ "$config" == asan ]]; then
     echo "==> series determinism smoke (same-seed byte identity under ASan)"
     tmp=$(mktemp -d)
     "$dir/bench/cluster_loadgen" --nodes=4 --jobs=2000 --scrape-interval=50 \
@@ -147,8 +81,6 @@ for config in "${configs[@]}"; do
     python3 scripts/metrics_diff.py --series \
       "$tmp/a.series.json" "$tmp/b.series.json"
     rm -rf "$tmp"
-  fi
-  if [[ "$config" == membership ]]; then
     echo "==> crash/drain determinism smoke (same-seed byte identity under ASan)"
     tmp=$(mktemp -d)
     "$dir/bench/cluster_loadgen" --nodes=4 --jobs=2000 \
@@ -170,8 +102,6 @@ for config in "${configs[@]}"; do
         exit 1
       fi
     done
-  fi
-  if [[ "$config" == profile ]]; then
     echo "==> profiler determinism smoke (same-seed byte identity under ASan)"
     tmp=$(mktemp -d)
     for run in a b; do
@@ -199,8 +129,9 @@ for config in "${configs[@]}"; do
       --remote-fraction=0.4 --um-fraction=0.2 --crash-plan=1@300us:2ms \
       --heartbeat-us=100 --cost-report --profile-interval=50 \
       >/dev/null 2>&1
-    "$dir/bench/chaos_loadgen" --jobs=500 --um-fraction=0.3 --cost-report \
-      --profile-interval=50 >/dev/null 2>&1
+    "$dir/bench/serve_loadgen" --policy=fifo --plan=configs/chaos.plan \
+      --jobs=500 --um-fraction=0.3 --cost-report --profile-interval=50 \
+      >/dev/null 2>&1
     rm -rf "$tmp"
     echo "==> flag-validation smoke (bad profile/trace flags exit 2)"
     for bad in "--profile-interval=-1" "--profile-out=x.folded" \

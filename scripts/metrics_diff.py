@@ -29,12 +29,15 @@ Typical uses:
   # thresholded compare flags series whose totals drifted:
   $ scripts/metrics_diff.py --series a.series.json b.series.json
 
-  # Top-level loadgen reports (serve/chaos/cluster stdout JSON) use
-  # --report. Every numeric leaf is compared by its JSON path; the
-  # build_info stamp itself is excluded from the value diff but its
+  # Top-level loadgen reports (serve_loadgen and cluster_loadgen stdout
+  # JSON) use --report. Every numeric leaf is compared by its JSON path;
+  # the build_info stamp itself is excluded from the value diff but its
   # schema version is enforced first — two reports whose binaries speak
   # different report schemas refuse to diff (exit 2) instead of
   # producing a wall of spurious NEW/REMOVED lines:
+  $ build/bench/serve_loadgen --plan=configs/chaos.plan > a.report.json
+  $ build/bench/serve_loadgen --plan=configs/chaos.plan --fault-seed=9 \\
+      > b.report.json
   $ scripts/metrics_diff.py --report a.report.json b.report.json
 
 Exit status: 0 when the snapshots agree (within the threshold), 1 when any

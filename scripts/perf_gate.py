@@ -47,6 +47,11 @@ import subprocess
 import sys
 
 
+# Benches run from the repository root, so relative paths in their args
+# (e.g. --plan=configs/chaos.plan) resolve wherever the gate is started.
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
 def fail(message):
     print(f"error: {message}", file=sys.stderr)
     sys.exit(1)
@@ -64,13 +69,14 @@ def load_baseline(path):
 
 
 def run_bench(bindir, bench):
-    binary = os.path.join(bindir, bench["name"])
+    binary = os.path.abspath(os.path.join(bindir, bench["name"]))
     if not os.path.exists(binary):
         fail(f"bench binary not found: {binary} (build it first)")
     command = [binary] + list(bench.get("args", []))
     try:
         result = subprocess.run(
-            command, capture_output=True, text=True, check=True)
+            command, capture_output=True, text=True, check=True,
+            cwd=REPO_ROOT)
     except subprocess.CalledProcessError as err:
         fail(f"{' '.join(command)} exited {err.returncode}:\n{err.stderr}")
     return result.stdout
