@@ -21,7 +21,7 @@ report; "csv" aggregates every numeric cell and offers the paths "max" and
 "mean". "id" names the entry for --only when one binary appears under
 several argument sets (defaults to "name").
 
-Two metric kinds:
+Three metric kinds:
 
   {"path", "value", "higher_is_better"}            kind: "regression"
       Deterministic simulator output; compared exactly against "value"
@@ -35,6 +35,13 @@ Two metric kinds:
       "observed" field but never moves the floor — raise it by hand when
       the engine genuinely gets faster.
 
+  {"kind": "max_wall_s", "max_value"}               wall-clock ceilings
+      Seconds the bench process takes, timed by the gate around the whole
+      process (so no bench needs a timing flag; "path" is not used). Fails
+      above the absolute ceiling "max_value", which sits below twice the
+      median of repeated Release runs so a 2x slowdown fails. Like the
+      floors, --update refreshes "observed" and never moves the ceiling.
+
 Exit status: 0 when every metric is inside tolerance, 2 when any metric
 regressed (the gate), 1 when a bench is missing, fails to run, or emits
 output the baseline paths cannot walk.
@@ -45,6 +52,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 
 # Benches run from the repository root, so relative paths in their args
@@ -69,17 +77,19 @@ def load_baseline(path):
 
 
 def run_bench(bindir, bench):
+    """Runs one bench; returns (stdout, wall-clock seconds of the process)."""
     binary = os.path.abspath(os.path.join(bindir, bench["name"]))
     if not os.path.exists(binary):
         fail(f"bench binary not found: {binary} (build it first)")
     command = [binary] + list(bench.get("args", []))
+    start = time.monotonic()
     try:
         result = subprocess.run(
             command, capture_output=True, text=True, check=True,
             cwd=REPO_ROOT)
     except subprocess.CalledProcessError as err:
         fail(f"{' '.join(command)} exited {err.returncode}:\n{err.stderr}")
-    return result.stdout
+    return result.stdout, time.monotonic() - start
 
 
 def walk_json(report, path):
@@ -168,11 +178,25 @@ def main():
     checked = 0
     for bench in benches:
         label = bench.get("id", bench["name"])
-        stdout = run_bench(args.bindir, bench)
+        stdout, wall_s = run_bench(args.bindir, bench)
         for metric in bench["metrics"]:
-            current = extract(stdout, bench, metric["path"])
             checked += 1
             kind = metric.get("kind", "regression")
+            if kind == "max_wall_s":
+                if args.update:
+                    metric["observed"] = round(wall_s, 3)
+                    continue
+                ceiling = float(metric["max_value"])
+                bad = wall_s > ceiling
+                status = "REGRESSED" if bad else "ok"
+                print(f"{status:9s} {label} wall_s: {wall_s:.3f} "
+                      f"(ceiling {ceiling:g}, wall-clock upper bound)")
+                if bad:
+                    regressions.append(
+                        f"{label} wall_s: {wall_s:.3f} above ceiling "
+                        f"{ceiling:g}")
+                continue
+            current = extract(stdout, bench, metric["path"])
             if kind == "lower_bound":
                 if args.update:
                     metric["observed"] = round(current, 6)
@@ -189,7 +213,7 @@ def main():
                 continue
             if kind != "regression":
                 fail(f"{label} {metric['path']}: unknown metric kind "
-                     f"'{kind}' (regression|lower_bound)")
+                     f"'{kind}' (regression|lower_bound|max_wall_s)")
             if args.update:
                 metric["value"] = round(current, 6)
                 continue

@@ -1,6 +1,7 @@
 #include "ghs/cluster/interconnect.hpp"
 
 #include <limits>
+#include <string>
 #include <utility>
 
 #include "ghs/util/error.hpp"
@@ -49,8 +50,7 @@ sim::ResourceId Interconnect::link(int src, int dst) const {
 }
 
 void Interconnect::transfer(int src, int dst, Bytes bytes,
-                            std::function<void()> on_complete,
-                            std::string label) {
+                            sim::Event on_complete) {
   const sim::ResourceId lane = link(src, dst);
   GHS_REQUIRE(bytes >= 0, "bytes=" << bytes);
   ++transfers_;
@@ -64,7 +64,7 @@ void Interconnect::transfer(int src, int dst, Bytes bytes,
   spec.resources = {mem_[static_cast<std::size_t>(src)], lane,
                     mem_[static_cast<std::size_t>(dst)]};
   spec.on_complete = std::move(on_complete);
-  spec.label = std::move(label);
+  spec.label = "interconnect";
   net_.start_flow(std::move(spec));
 }
 

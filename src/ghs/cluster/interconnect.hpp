@@ -12,8 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <string>
 #include <vector>
 
 #include "ghs/sim/fluid.hpp"
@@ -44,8 +42,7 @@ class Interconnect {
   /// src->dst link, and dst memory; fires `on_complete` when the last
   /// byte lands. Zero-byte transfers complete via a same-instant event so
   /// callback ordering stays deterministic. Requires src != dst.
-  void transfer(int src, int dst, Bytes bytes,
-                std::function<void()> on_complete, std::string label = {});
+  void transfer(int src, int dst, Bytes bytes, sim::Event on_complete);
 
   std::int64_t transfers() const { return transfers_; }
   double bytes_moved() const { return bytes_moved_; }

@@ -171,7 +171,7 @@ void CpuDevice::reduce(const CpuReduceRequest& request,
         spec.resources = topology_.cpu_read_path(slice.source);
       }
       spec.resources.push_back(socket_);
-      spec.label = request.label + ":cpu";
+      spec.label = "cpu-slice";
       const Bytes s_begin = slice.begin;
       const Bytes s_len = slice.length;
       const bool duplicate = slice.duplicate_on_access;

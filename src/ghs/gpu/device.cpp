@@ -56,6 +56,22 @@ struct GpuDevice::Execution {
 
   // UM pass plan for this launch (empty in explicit mode).
   std::vector<um::SegmentPlan> plan;
+
+  // The wave in flight (one per kernel). Its flows, one per slice, each
+  // report back by slice index; the buffer is reused wave after wave.
+  struct Slice {
+    Bytes begin = 0;
+    Bytes end = 0;
+    sim::FlowPath path;
+    double cap = 0.0;
+    bool migrate_on_access = false;
+    bool duplicate_on_access = false;
+  };
+  std::vector<Slice> slices;
+  std::int64_t wave_ctas = 0;
+  SimTime wave_start = 0;
+  std::size_t slices_pending = 0;
+  SimTime flow_end_max = 0;
 };
 
 GpuDevice::GpuDevice(sim::Simulator& sim, mem::Topology& topology,
@@ -148,25 +164,19 @@ void GpuDevice::start_wave(const std::shared_ptr<Execution>& exec) {
 
   // Build the wave's flows: one in explicit mode, one per residency slice
   // in UM mode.
-  struct Slice {
-    Bytes begin;
-    Bytes end;
-    std::vector<sim::ResourceId> path;
-    double cap;
-    bool migrate_on_access;
-    bool duplicate_on_access = false;
-  };
-  std::vector<Slice> slices;
+  using Slice = Execution::Slice;
+  std::vector<Slice>& slices = exec->slices;
+  slices.clear();
   if (desc.input == InputLocation::kDeviceBuffer) {
     slices.push_back(Slice{range_begin, range_end,
                            topology_.gpu_read_path(mem::RegionId::kHbm),
-                           std::min(wave_cap, hbm_stream_cap), false});
+                           std::min(wave_cap, hbm_stream_cap), false, false});
   } else {
     for (const auto& seg : exec->plan) {
       const Bytes begin = std::max(range_begin, seg.offset);
       const Bytes end = std::min(range_end, seg.offset + seg.length);
       if (begin >= end) continue;
-      Slice slice;
+      Slice& slice = slices.emplace_back();
       slice.begin = begin;
       slice.end = end;
       slice.migrate_on_access = seg.migrate_on_access;
@@ -189,54 +199,60 @@ void GpuDevice::start_wave(const std::shared_ptr<Execution>& exec) {
         slice.path = topology_.gpu_read_path(mem::RegionId::kLpddr);
         slice.cap = std::min(wave_cap, config_.remote_read_bw.bytes_per_second);
       }
-      slices.push_back(std::move(slice));
     }
     GHS_CHECK(!slices.empty(), "UM wave produced no slices");
   }
 
-  auto pending = std::make_shared<std::size_t>(slices.size());
-  auto flow_end_max = std::make_shared<SimTime>(0);
-  const um::AllocId managed = desc.managed_alloc;
-  for (const auto& slice : slices) {
-    sim::FlowSpec spec;
-    spec.bytes = static_cast<double>(slice.end - slice.begin);
-    spec.rate_cap = slice.cap;
-    spec.resources = slice.path;
-    spec.label = desc.label + ":wave";
-    const Bytes s_begin = slice.begin;
-    const Bytes s_len = slice.end - slice.begin;
-    const bool flip = slice.migrate_on_access;
-    const bool duplicate = slice.duplicate_on_access;
-    spec.on_complete = [this, exec, pending, flow_end_max, count, s_begin,
-                        s_len, flip, duplicate, managed, start_at] {
-      if (flip) {
-        um_.complete_segment(managed, s_begin, s_len, mem::RegionId::kHbm);
-      } else if (duplicate) {
-        um_.complete_duplication(managed, s_begin, s_len);
-      }
-      *flow_end_max = std::max(*flow_end_max, sim_.now());
-      GHS_CHECK(*pending > 0, "wave completion underflow");
-      if (--*pending == 0) {
-        finish_wave(exec, count, start_at, *flow_end_max);
-      }
-    };
-    const SimTime delay = start_at - sim_.now();
+  exec->wave_ctas = count;
+  exec->wave_start = start_at;
+  exec->slices_pending = slices.size();
+  exec->flow_end_max = 0;
+  const SimTime delay = start_at - sim_.now();
+  for (std::size_t i = 0; i < slices.size(); ++i) {
     if (delay > 0) {
-      sim_.schedule_after(delay, [this, spec = std::move(spec)]() mutable {
-        topology_.network().start_flow(std::move(spec));
-      });
+      sim_.schedule_after(delay,
+                          [this, exec, i] { start_slice_flow(exec, i); });
     } else {
-      topology_.network().start_flow(std::move(spec));
+      start_slice_flow(exec, i);
     }
   }
 }
 
-void GpuDevice::finish_wave(const std::shared_ptr<Execution>& exec,
-                            std::int64_t cta_count, SimTime wave_start,
-                            SimTime flow_end) {
-  trace::record_span(tracer_, trace::Track::kGpuWaves,
-                     exec->desc.label + ":wave", wave_start, flow_end,
-                     std::to_string(cta_count) + " CTAs");
+void GpuDevice::start_slice_flow(const std::shared_ptr<Execution>& exec,
+                                 std::size_t index) {
+  const Execution::Slice& slice = exec->slices[index];
+  sim::FlowSpec spec;
+  spec.bytes = static_cast<double>(slice.end - slice.begin);
+  spec.rate_cap = slice.cap;
+  spec.resources = slice.path;
+  spec.label = exec->desc.label;
+  spec.on_complete = [this, exec, index] { finish_slice(exec, index); };
+  topology_.network().start_flow(std::move(spec));
+}
+
+void GpuDevice::finish_slice(const std::shared_ptr<Execution>& exec,
+                             std::size_t index) {
+  const Execution::Slice& slice = exec->slices[index];
+  const Bytes length = slice.end - slice.begin;
+  if (slice.migrate_on_access) {
+    um_.complete_segment(exec->desc.managed_alloc, slice.begin, length,
+                         mem::RegionId::kHbm);
+  } else if (slice.duplicate_on_access) {
+    um_.complete_duplication(exec->desc.managed_alloc, slice.begin, length);
+  }
+  exec->flow_end_max = std::max(exec->flow_end_max, sim_.now());
+  GHS_CHECK(exec->slices_pending > 0, "wave completion underflow");
+  if (--exec->slices_pending == 0) finish_wave(exec);
+}
+
+void GpuDevice::finish_wave(const std::shared_ptr<Execution>& exec) {
+  const std::int64_t cta_count = exec->wave_ctas;
+  const SimTime flow_end = exec->flow_end_max;
+  if (tracer_ != nullptr) {
+    tracer_->record(trace::Track::kGpuWaves, exec->desc.label + ":wave",
+                    exec->wave_start, flow_end,
+                    std::to_string(cta_count) + " CTAs");
+  }
   // Fold the wave's partials according to the kernel's combine strategy.
   switch (exec->desc.strategy) {
     case CombineStrategy::kAtomicPerCta: {

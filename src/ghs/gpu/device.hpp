@@ -71,9 +71,11 @@ class GpuDevice {
   struct Execution;
 
   void start_wave(const std::shared_ptr<Execution>& exec);
-  void finish_wave(const std::shared_ptr<Execution>& exec,
-                   std::int64_t cta_count, SimTime wave_start,
-                   SimTime flow_end);
+  void start_slice_flow(const std::shared_ptr<Execution>& exec,
+                        std::size_t index);
+  void finish_slice(const std::shared_ptr<Execution>& exec,
+                    std::size_t index);
+  void finish_wave(const std::shared_ptr<Execution>& exec);
   void finish_kernel(const std::shared_ptr<Execution>& exec);
 
   sim::Simulator& sim_;

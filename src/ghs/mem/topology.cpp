@@ -14,6 +14,12 @@ const char* region_name(RegionId region) {
   return "?";
 }
 
+namespace {
+
+std::size_t slot(RegionId region) { return static_cast<std::size_t>(region); }
+
+}  // namespace
+
 Topology::Topology(sim::Simulator& sim, const TopologyConfig& config)
     : config_(config),
       sim_(sim),
@@ -25,32 +31,30 @@ Topology::Topology(sim::Simulator& sim, const TopologyConfig& config)
       c2c_to_cpu_(
           network_.add_resource("C2C->CPU", config.c2c_per_direction_bw)),
       migration_engine_(network_.add_resource("UM-migration",
-                                              config.migration_engine_bw)) {}
+                                              config.migration_engine_bw)),
+      gpu_read_{{hbm_}, {lpddr_, c2c_to_gpu_}},
+      cpu_read_{{hbm_, c2c_to_cpu_}, {lpddr_}},
+      migration_{{hbm_, c2c_to_cpu_, lpddr_, migration_engine_},
+                 {lpddr_, c2c_to_gpu_, hbm_, migration_engine_}},
+      copy_{{hbm_, c2c_to_cpu_, lpddr_}, {lpddr_, c2c_to_gpu_, hbm_}} {}
 
-std::vector<sim::ResourceId> Topology::gpu_read_path(RegionId where) const {
-  if (where == RegionId::kHbm) return {hbm_};
-  return {lpddr_, c2c_to_gpu_};
+const sim::FlowPath& Topology::gpu_read_path(RegionId where) const {
+  return gpu_read_[slot(where)];
 }
 
-std::vector<sim::ResourceId> Topology::cpu_read_path(RegionId where) const {
-  if (where == RegionId::kLpddr) return {lpddr_};
-  return {hbm_, c2c_to_cpu_};
+const sim::FlowPath& Topology::cpu_read_path(RegionId where) const {
+  return cpu_read_[slot(where)];
 }
 
-std::vector<sim::ResourceId> Topology::migration_path(RegionId from,
-                                                      RegionId to) const {
+const sim::FlowPath& Topology::migration_path(RegionId from,
+                                              RegionId to) const {
   GHS_REQUIRE(from != to, "migration within " << region_name(from));
-  if (from == RegionId::kLpddr) {
-    return {lpddr_, c2c_to_gpu_, hbm_, migration_engine_};
-  }
-  return {hbm_, c2c_to_cpu_, lpddr_, migration_engine_};
+  return migration_[slot(from)];
 }
 
-std::vector<sim::ResourceId> Topology::copy_path(RegionId from,
-                                                 RegionId to) const {
+const sim::FlowPath& Topology::copy_path(RegionId from, RegionId to) const {
   GHS_REQUIRE(from != to, "copy within " << region_name(from));
-  if (from == RegionId::kLpddr) return {lpddr_, c2c_to_gpu_, hbm_};
-  return {hbm_, c2c_to_cpu_, lpddr_};
+  return copy_[slot(from)];
 }
 
 }  // namespace ghs::mem

@@ -10,8 +10,6 @@
 // remote access traverses.
 #pragma once
 
-#include <vector>
-
 #include "ghs/sim/fluid.hpp"
 #include "ghs/sim/simulator.hpp"
 #include "ghs/util/units.hpp"
@@ -57,18 +55,21 @@ class Topology {
   sim::ResourceId c2c_to_cpu() const { return c2c_to_cpu_; }
   sim::ResourceId migration_engine() const { return migration_engine_; }
 
+  // The paths below are built once at construction; the references stay
+  // valid for the topology's lifetime.
+
   /// Resources a GPU streaming read of memory in `where` traverses.
-  std::vector<sim::ResourceId> gpu_read_path(RegionId where) const;
+  const sim::FlowPath& gpu_read_path(RegionId where) const;
 
   /// Resources a CPU streaming read of memory in `where` traverses.
-  std::vector<sim::ResourceId> cpu_read_path(RegionId where) const;
+  const sim::FlowPath& cpu_read_path(RegionId where) const;
 
   /// Resources a UM page migration traverses (source memory, link lane,
   /// destination memory, and the migration engine).
-  std::vector<sim::ResourceId> migration_path(RegionId from, RegionId to) const;
+  const sim::FlowPath& migration_path(RegionId from, RegionId to) const;
 
   /// Resources an explicit map(to:)/map(from:) bulk copy traverses.
-  std::vector<sim::ResourceId> copy_path(RegionId from, RegionId to) const;
+  const sim::FlowPath& copy_path(RegionId from, RegionId to) const;
 
  private:
   TopologyConfig config_;
@@ -79,6 +80,11 @@ class Topology {
   sim::ResourceId c2c_to_gpu_;
   sim::ResourceId c2c_to_cpu_;
   sim::ResourceId migration_engine_;
+  // Indexed by the RegionId read (gpu/cpu) or moved from (migration/copy).
+  sim::FlowPath gpu_read_[2];
+  sim::FlowPath cpu_read_[2];
+  sim::FlowPath migration_[2];
+  sim::FlowPath copy_[2];
 };
 
 }  // namespace ghs::mem

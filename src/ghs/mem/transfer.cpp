@@ -7,22 +7,19 @@
 namespace ghs::mem {
 
 void TransferEngine::copy(Bytes bytes, RegionId from, RegionId to,
-                          std::function<void()> on_complete,
-                          std::string label) {
-  start(bytes, topology_.copy_path(from, to), std::move(on_complete),
-        std::move(label));
+                          std::function<void()> on_complete) {
+  start(bytes, topology_.copy_path(from, to), std::move(on_complete), "copy");
 }
 
 void TransferEngine::migrate(Bytes bytes, RegionId from, RegionId to,
-                             std::function<void()> on_complete,
-                             std::string label) {
+                             std::function<void()> on_complete) {
   start(bytes, topology_.migration_path(from, to), std::move(on_complete),
-        std::move(label));
+        "migrate");
 }
 
-void TransferEngine::start(Bytes bytes, std::vector<sim::ResourceId> path,
+void TransferEngine::start(Bytes bytes, const sim::FlowPath& path,
                            std::function<void()> on_complete,
-                           std::string label) {
+                           std::string_view label) {
   GHS_REQUIRE(bytes >= 0, "bytes=" << bytes);
   if (bytes == 0) {
     if (on_complete) on_complete();
@@ -32,9 +29,9 @@ void TransferEngine::start(Bytes bytes, std::vector<sim::ResourceId> path,
   stats_.bytes += bytes;
   sim::FlowSpec spec;
   spec.bytes = static_cast<double>(bytes);
-  spec.resources = std::move(path);
-  spec.on_complete = std::move(on_complete);
-  spec.label = std::move(label);
+  spec.resources = path;
+  if (on_complete) spec.on_complete = std::move(on_complete);
+  spec.label = label;
   topology_.network().start_flow(std::move(spec));
 }
 

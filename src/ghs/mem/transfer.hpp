@@ -6,7 +6,7 @@
 #pragma once
 
 #include <functional>
-#include <string>
+#include <string_view>
 
 #include "ghs/mem/topology.hpp"
 #include "ghs/util/units.hpp"
@@ -28,18 +28,18 @@ class TransferEngine {
   /// Starts an explicit bulk copy; `on_complete` fires when the last byte
   /// lands. Zero-byte copies complete immediately (inline).
   void copy(Bytes bytes, RegionId from, RegionId to,
-            std::function<void()> on_complete, std::string label);
+            std::function<void()> on_complete);
 
   /// Starts a UM page-migration transfer (goes through the migration-engine
   /// resource as well as the memories and link).
   void migrate(Bytes bytes, RegionId from, RegionId to,
-               std::function<void()> on_complete, std::string label);
+               std::function<void()> on_complete);
 
   const CopyStats& stats() const { return stats_; }
 
  private:
-  void start(Bytes bytes, std::vector<sim::ResourceId> path,
-             std::function<void()> on_complete, std::string label);
+  void start(Bytes bytes, const sim::FlowPath& path,
+             std::function<void()> on_complete, std::string_view label);
 
   Topology& topology_;
   CopyStats stats_;

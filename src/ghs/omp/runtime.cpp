@@ -30,7 +30,7 @@ void Runtime::map_to(DeviceBufferId buffer,
   const DeviceBuffer& b = buffers_[buffer];
   stats_.mapped_bytes += b.size;
   transfers_.copy(b.size, mem::RegionId::kLpddr, mem::RegionId::kHbm,
-                  std::move(on_complete), "map-to:" + b.label);
+                  std::move(on_complete));
 }
 
 void Runtime::target_update_scalar(std::function<void()> on_complete) {

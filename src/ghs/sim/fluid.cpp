@@ -19,11 +19,22 @@ constexpr double kDrainEpsilonBytes = 0.5;
 
 }  // namespace
 
+FlowPath::FlowPath(std::initializer_list<ResourceId> hops) {
+  for (ResourceId r : hops) push_back(r);
+}
+
+void FlowPath::push_back(ResourceId r) {
+  GHS_REQUIRE(size_ < kMaxHops,
+              "flow path longer than " << kMaxHops << " resources");
+  hops_[size_++] = r;
+}
+
 ResourceId FluidNetwork::add_resource(std::string name, Bandwidth capacity) {
   GHS_REQUIRE(capacity.bytes_per_second > 0.0,
               "resource '" << name << "' needs positive capacity");
-  resources_.push_back(Resource{std::move(name), capacity.bytes_per_second,
-                                ResourceStats{}});
+  Resource& resource = resources_.emplace_back();
+  resource.name = std::move(name);
+  resource.capacity = capacity.bytes_per_second;
   return static_cast<ResourceId>(resources_.size() - 1);
 }
 
@@ -55,16 +66,20 @@ FlowId FluidNetwork::start_flow(FlowSpec spec) {
   GHS_REQUIRE(spec.bytes > 0.0, "flow '" << spec.label << "' has no bytes");
   GHS_REQUIRE(!spec.resources.empty(),
               "flow '" << spec.label << "' traverses no resources");
-  for (ResourceId r : spec.resources) {
-    GHS_REQUIRE(r < resources_.size(),
-                "flow '" << spec.label << "' uses bad resource id " << r);
+  const auto* hops = spec.resources.begin();
+  for (std::size_t i = 0; i < spec.resources.size(); ++i) {
+    GHS_REQUIRE(hops[i] < resources_.size(),
+                "flow '" << spec.label << "' uses bad resource id "
+                         << hops[i]);
+    GHS_REQUIRE(std::find(hops, hops + i, hops[i]) == hops + i,
+                "flow '" << spec.label << "' repeats resource " << hops[i]);
   }
   sync_to_now();
   const FlowId id = next_flow_id_++;
-  Flow flow;
+  Flow& flow = flows_.emplace_back();
+  flow.id = id;
   flow.remaining = spec.bytes;
   flow.spec = std::move(spec);
-  flows_.emplace(id, std::move(flow));
   if (!settling_) {
     recompute_rates();
     schedule_next_completion();
@@ -72,18 +87,25 @@ FlowId FluidNetwork::start_flow(FlowSpec spec) {
   return id;
 }
 
-bool FluidNetwork::active(FlowId id) const { return flows_.count(id) > 0; }
+const FluidNetwork::Flow* FluidNetwork::lookup(FlowId id) const {
+  const auto it = std::lower_bound(
+      flows_.begin(), flows_.end(), id,
+      [](const Flow& flow, FlowId key) { return flow.id < key; });
+  return it != flows_.end() && it->id == id ? &*it : nullptr;
+}
+
+bool FluidNetwork::active(FlowId id) const { return lookup(id) != nullptr; }
 
 double FluidNetwork::current_rate(FlowId id) const {
-  const auto it = flows_.find(id);
-  GHS_REQUIRE(it != flows_.end(), "flow " << id << " is not active");
-  return it->second.rate;
+  const Flow* flow = lookup(id);
+  GHS_REQUIRE(flow != nullptr, "flow " << id << " is not active");
+  return flow->rate;
 }
 
 double FluidNetwork::remaining_bytes(FlowId id) const {
-  const auto it = flows_.find(id);
-  GHS_REQUIRE(it != flows_.end(), "flow " << id << " is not active");
-  return it->second.remaining;
+  const Flow* flow = lookup(id);
+  GHS_REQUIRE(flow != nullptr, "flow " << id << " is not active");
+  return flow->remaining;
 }
 
 void FluidNetwork::sync_to_now() {
@@ -92,84 +114,106 @@ void FluidNetwork::sync_to_now() {
   if (now == last_update_) return;
   const double dt_s = to_seconds(now - last_update_);
   const double dt_ps = static_cast<double>(now - last_update_);
-  std::vector<double> resource_rate(resources_.size(), 0.0);
-  for (auto& [id, flow] : flows_) {
+  // Only resources a moving flow drives are visited: any other resource
+  // would add min(1, 0 / capacity) * dt_ps = +0 to its busy time.
+  synced_.clear();
+  for (Flow& flow : flows_) {
     if (flow.rate <= 0.0) continue;
     const double moved = std::min(flow.remaining, flow.rate * dt_s);
     flow.remaining -= moved;
     for (ResourceId r : flow.spec.resources) {
-      resources_[r].stats.bytes_served += moved;
-      resource_rate[r] += flow.rate;
+      Resource& resource = resources_[r];
+      resource.stats.bytes_served += moved;
+      if (resource.rate == 0.0) synced_.push_back(r);
+      resource.rate += flow.rate;
     }
   }
-  for (std::size_t r = 0; r < resources_.size(); ++r) {
-    const double util =
-        std::min(1.0, resource_rate[r] / resources_[r].capacity);
-    resources_[r].stats.busy_time_ps += util * dt_ps;
+  for (ResourceId r : synced_) {
+    Resource& resource = resources_[r];
+    const double util = std::min(1.0, resource.rate / resource.capacity);
+    resource.stats.busy_time_ps += util * dt_ps;
+    resource.rate = 0.0;
   }
   last_update_ = now;
 }
 
 void FluidNetwork::recompute_rates() {
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::vector<double> residual(resources_.size());
-  std::vector<int> count(resources_.size(), 0);
-  for (std::size_t r = 0; r < resources_.size(); ++r) {
-    residual[r] = resources_[r].capacity;
+  if (flows_.size() == 1) {
+    // The general pass below would divide each capacity by a count of 1
+    // and freeze the flow in its first round: the same operations.
+    Flow& flow = flows_.front();
+    double limit = flow.spec.rate_cap > 0.0 ? flow.spec.rate_cap : kInf;
+    for (ResourceId r : flow.spec.resources) {
+      limit = std::min(limit, std::max(0.0, resources_[r].capacity));
+    }
+    GHS_CHECK(std::isfinite(limit), "all flows uncapped over zero resources");
+    flow.rate = limit;
+    return;
   }
-  std::vector<Flow*> unfrozen;
-  unfrozen.reserve(flows_.size());
-  for (auto& [id, flow] : flows_) {
-    unfrozen.push_back(&flow);
-    for (ResourceId r : flow.spec.resources) ++count[r];
+  // Counts return to 0 as flows freeze; clearing the previous call's
+  // entries only matters after a failed check left some behind.
+  for (ResourceId r : touched_) resources_[r].count = 0;
+  touched_.clear();
+  unfrozen_.clear();
+  for (Flow& flow : flows_) {
+    unfrozen_.push_back(&flow);
+    for (ResourceId r : flow.spec.resources) {
+      Resource& resource = resources_[r];
+      if (resource.count++ == 0) {
+        resource.residual = resource.capacity;
+        touched_.push_back(r);
+      }
+    }
   }
   // Progressive filling: each round freezes every flow whose limiting
   // constraint equals the global minimum, guaranteeing termination.
-  while (!unfrozen.empty()) {
+  while (!unfrozen_.empty()) {
     double round_min = kInf;
-    std::vector<double> limits(unfrozen.size());
-    for (std::size_t i = 0; i < unfrozen.size(); ++i) {
-      const Flow& flow = *unfrozen[i];
+    limits_.resize(unfrozen_.size());
+    for (std::size_t i = 0; i < unfrozen_.size(); ++i) {
+      const Flow& flow = *unfrozen_[i];
       double limit = flow.spec.rate_cap > 0.0 ? flow.spec.rate_cap : kInf;
       for (ResourceId r : flow.spec.resources) {
-        GHS_CHECK(count[r] > 0, "resource count underflow");
-        limit = std::min(limit, std::max(0.0, residual[r]) /
-                                    static_cast<double>(count[r]));
+        const Resource& resource = resources_[r];
+        GHS_CHECK(resource.count > 0, "resource count underflow");
+        limit = std::min(limit, std::max(0.0, resource.residual) /
+                                    static_cast<double>(resource.count));
       }
-      limits[i] = limit;
+      limits_[i] = limit;
       round_min = std::min(round_min, limit);
     }
     GHS_CHECK(std::isfinite(round_min),
               "all flows uncapped over zero resources");
     const double freeze_below = round_min * (1.0 + 1e-12) + 1e-9;
-    std::vector<Flow*> still_unfrozen;
-    still_unfrozen.reserve(unfrozen.size());
-    for (std::size_t i = 0; i < unfrozen.size(); ++i) {
-      Flow& flow = *unfrozen[i];
-      if (limits[i] <= freeze_below) {
-        flow.rate = limits[i];
+    still_unfrozen_.clear();
+    for (std::size_t i = 0; i < unfrozen_.size(); ++i) {
+      Flow& flow = *unfrozen_[i];
+      if (limits_[i] <= freeze_below) {
+        flow.rate = limits_[i];
         for (ResourceId r : flow.spec.resources) {
-          residual[r] -= flow.rate;
-          --count[r];
+          resources_[r].residual -= flow.rate;
+          --resources_[r].count;
         }
       } else {
-        still_unfrozen.push_back(&flow);
+        still_unfrozen_.push_back(&flow);
       }
     }
-    GHS_CHECK(still_unfrozen.size() < unfrozen.size(),
+    GHS_CHECK(still_unfrozen_.size() < unfrozen_.size(),
               "water-filling made no progress");
-    unfrozen = std::move(still_unfrozen);
+    unfrozen_.swap(still_unfrozen_);
   }
 }
 
 void FluidNetwork::schedule_next_completion() {
   if (flows_.empty()) return;
   double min_dt_s = std::numeric_limits<double>::infinity();
-  for (const auto& [id, flow] : flows_) {
+  for (const Flow& flow : flows_) {
     if (flow.rate <= 0.0) {
       GHS_CHECK(flow.remaining <= kDrainEpsilonBytes,
-                "flow '" << flow.spec.label << "' stalled at rate 0 with "
-                         << flow.remaining << " bytes left");
+                "flow " << flow.id << " '" << flow.spec.label
+                        << "' stalled at rate 0 with " << flow.remaining
+                        << " bytes left");
       min_dt_s = 0.0;
       continue;
     }
@@ -189,20 +233,26 @@ void FluidNetwork::schedule_next_completion() {
 void FluidNetwork::settle() {
   sync_to_now();
   settling_ = true;
-  std::vector<std::function<void()>> callbacks;
-  for (auto it = flows_.begin(); it != flows_.end();) {
-    if (it->second.remaining <= kDrainEpsilonBytes) {
-      if (it->second.spec.on_complete) {
-        callbacks.push_back(std::move(it->second.spec.on_complete));
+  // Moved out while invoked, so a throwing callback leaves no stale
+  // entries for the next settle to run.
+  std::vector<Event> callbacks = std::move(callbacks_);
+  auto kept = flows_.begin();
+  for (auto it = flows_.begin(); it != flows_.end(); ++it) {
+    if (it->remaining <= kDrainEpsilonBytes) {
+      if (it->spec.on_complete) {
+        callbacks.push_back(std::move(it->spec.on_complete));
       }
-      it = flows_.erase(it);
     } else {
-      ++it;
+      if (kept != it) *kept = std::move(*it);
+      ++kept;
     }
   }
+  flows_.erase(kept, flows_.end());
   // Callbacks may start new flows; the settling_ flag defers their rate
   // recomputation to the single pass below.
-  for (auto& cb : callbacks) cb();
+  for (Event& cb : callbacks) cb();
+  callbacks.clear();
+  callbacks_ = std::move(callbacks);
   settling_ = false;
   recompute_rates();
   schedule_next_completion();

@@ -15,12 +15,15 @@
 // co-execution.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <map>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "ghs/sim/event.hpp"
 #include "ghs/sim/simulator.hpp"
 #include "ghs/util/units.hpp"
 
@@ -29,6 +32,28 @@ namespace ghs::sim {
 using ResourceId = std::uint32_t;
 using FlowId = std::uint64_t;
 
+/// The resources one flow traverses, stored inline. The longest path in
+/// the repository is four hops (a UM migration, or a CPU copy plus the
+/// socket); appending a fifth throws.
+class FlowPath {
+ public:
+  static constexpr std::size_t kMaxHops = 4;
+
+  FlowPath() = default;
+  FlowPath(std::initializer_list<ResourceId> hops);
+
+  void push_back(ResourceId r);
+
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const ResourceId* begin() const { return hops_.data(); }
+  const ResourceId* end() const { return hops_.data() + size_; }
+
+ private:
+  std::array<ResourceId, kMaxHops> hops_{};
+  std::size_t size_ = 0;
+};
+
 struct FlowSpec {
   /// Total bytes the flow must move; must be > 0.
   double bytes = 0.0;
@@ -36,11 +61,12 @@ struct FlowSpec {
   double rate_cap = 0.0;
   /// Resources the flow traverses; each constrains the rate. Must not be
   /// empty and must not repeat a resource.
-  std::vector<ResourceId> resources;
+  FlowPath resources;
   /// Invoked (once) when the last byte is delivered.
-  std::function<void()> on_complete;
-  /// Debug label surfaced in logs and error messages.
-  std::string label;
+  Event on_complete;
+  /// Label surfaced in error messages. Borrowed, never copied: the text
+  /// must outlive the flow (a literal, or a name the flow's starter owns).
+  std::string_view label;
 };
 
 struct ResourceStats {
@@ -87,9 +113,17 @@ class FluidNetwork {
     std::string name;
     double capacity = 0.0;  // bytes/s
     ResourceStats stats;
+    // Scratch of sync_to_now (rate) and recompute_rates (residual, count),
+    // kept here so the steady state allocates nothing. Each holds its
+    // idle value between calls, except residual, which recompute_rates
+    // sets before use.
+    double rate = 0.0;
+    double residual = 0.0;
+    int count = 0;
   };
 
   struct Flow {
+    FlowId id = 0;
     FlowSpec spec;
     double remaining = 0.0;
     double rate = 0.0;
@@ -103,11 +137,23 @@ class FluidNetwork {
   /// new flows); then recomputes and schedules the next completion.
   void settle();
   void schedule_next_completion();
+  /// The active flow with this id, or null.
+  const Flow* lookup(FlowId id) const;
 
   Simulator& sim_;
   std::vector<Resource> resources_;
-  // Ordered map so rate computation iterates flows deterministically.
-  std::map<FlowId, Flow> flows_;
+  // Active flows in FlowId order. Ids only grow, so appending and erasing in
+  // place keep the order, and every per-resource sum adds its flows in the
+  // same sequence on every run.
+  std::vector<Flow> flows_;
+  // Scratch reused by every sync/recompute/settle. `synced_` and
+  // `touched_` list the resources the last sync and recompute wrote.
+  std::vector<ResourceId> synced_;
+  std::vector<ResourceId> touched_;
+  std::vector<Flow*> unfrozen_;
+  std::vector<Flow*> still_unfrozen_;
+  std::vector<double> limits_;
+  std::vector<Event> callbacks_;
   FlowId next_flow_id_ = 1;
   SimTime last_update_ = 0;
   std::uint64_t wake_generation_ = 0;

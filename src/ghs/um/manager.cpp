@@ -337,8 +337,7 @@ void UmManager::start_background_migration(AllocId id, std::size_t first_page,
                            started, topology_.sim().now(),
                            format_bytes(bytes));
         complete_segment(id, begin, bytes, destination);
-      },
-      label.str());
+      });
 }
 
 void UmManager::advise_read_mostly(AllocId id) {
@@ -432,8 +431,7 @@ Bytes UmManager::prefetch(AllocId id, Bytes offset, Bytes length,
           complete_segment(id, begin, bytes, destination);
           GHS_CHECK(*pending > 0, "prefetch completion underflow");
           if (--*pending == 0 && *done) (*done)();
-        },
-        label.str());
+        });
   }
   return total;
 }

@@ -15,8 +15,7 @@ class TopologyTest : public ::testing::Test {
   TopologyConfig config;
   Topology topo{sim, config};
 
-  static bool contains(const std::vector<sim::ResourceId>& path,
-                       sim::ResourceId r) {
+  static bool contains(const sim::FlowPath& path, sim::ResourceId r) {
     return std::find(path.begin(), path.end(), r) != path.end();
   }
 };

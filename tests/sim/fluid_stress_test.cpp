@@ -57,7 +57,7 @@ class FluidStressTest : public ::testing::TestWithParam<Scenario> {
       const auto path_len = 1 + rng.next_below(
           std::min<std::uint64_t>(3, static_cast<std::uint64_t>(
                                           scenario.resources)));
-      std::vector<ResourceId> path;
+      FlowPath path;
       while (path.size() < path_len) {
         const auto r = resources[static_cast<std::size_t>(
             rng.next_below(static_cast<std::uint64_t>(scenario.resources)))];
@@ -65,7 +65,7 @@ class FluidStressTest : public ::testing::TestWithParam<Scenario> {
           path.push_back(r);
         }
       }
-      spec.resources = std::move(path);
+      spec.resources = path;
       const auto index = static_cast<std::size_t>(f);
       auto& slot = outcome.completion_times[index];
       spec.on_complete = [&sim, &slot] { slot = sim.now(); };

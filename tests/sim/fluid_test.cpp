@@ -46,7 +46,9 @@ TEST_F(FluidTest, TwoFlowsShareFairly) {
   FlowSpec a;
   a.bytes = kGB;
   a.resources = {r};
-  FlowSpec b = a;
+  FlowSpec b;
+  b.bytes = kGB;
+  b.resources = {r};
   const auto ia = net.start_flow(std::move(a));
   const auto ib = net.start_flow(std::move(b));
   EXPECT_DOUBLE_EQ(net.current_rate(ia), 50.0 * kGB);
@@ -205,6 +207,18 @@ TEST_F(FluidTest, InvalidSpecsRejected) {
   bad_resource.bytes = 1.0;
   bad_resource.resources = {42};
   EXPECT_THROW(net.start_flow(std::move(bad_resource)), Error);
+
+  FlowSpec repeated;
+  repeated.bytes = 1.0;
+  repeated.resources = {r, r};
+  EXPECT_THROW(net.start_flow(std::move(repeated)), Error);
+}
+
+TEST_F(FluidTest, PathHoldsAtMostFourHops) {
+  FlowPath path{0, 1, 2, 3};
+  EXPECT_EQ(path.size(), FlowPath::kMaxHops);
+  EXPECT_THROW(path.push_back(4), Error);
+  EXPECT_THROW((FlowPath{0, 1, 2, 3, 4}), Error);
 }
 
 TEST_F(FluidTest, ZeroCapacityResourceRejected) {
