@@ -34,6 +34,7 @@
 #include "ghs/serve/loadgen.hpp"
 #include "ghs/util/cli.hpp"
 #include "ghs/util/error.hpp"
+#include "ghs/util/json.hpp"
 #include "ghs/util/rng.hpp"
 #include "build_info.hpp"
 #include "loadgen.hpp"
@@ -91,12 +92,6 @@ cluster::ClusterReport run_router(cluster::RouterPolicy router,
   };
   return bench::observed_run(observe, cluster::router_policy_name(router),
                              make, drive, sections);
-}
-
-void write_fixed(std::ostream& os, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6f", value);
-  os << buf;
 }
 
 /// Parses a --drain-at schedule: `node@time` entries separated by commas
@@ -287,15 +282,12 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < reports.size(); ++i) {
       const auto& r = reports[i];
       if (i > 0) out << ",";
-      out << "{\"router\":\"" << r.router << "\",\"jobs_per_s\":";
-      write_fixed(out, r.throughput_jobs_per_s);
-      out << ",\"gbps\":";
-      write_fixed(out, r.throughput_gbps);
-      out << ",\"p99_ms\":";
-      write_fixed(out, r.latency.pct.p99);
+      out << "{\"router\":\"" << r.router << "\",\"jobs_per_s\":"
+          << fixed6(r.throughput_jobs_per_s);
+      out << ",\"gbps\":" << fixed6(r.throughput_gbps);
+      out << ",\"p99_ms\":" << fixed6(r.latency.pct.p99);
       out << ",\"rejected\":" << r.rejected << ",\"remote_jobs\":"
-          << r.remote_jobs << ",\"imbalance\":";
-      write_fixed(out, r.imbalance);
+          << r.remote_jobs << ",\"imbalance\":" << fixed6(r.imbalance);
       out << "}";
     }
     out << "]";
@@ -347,20 +339,14 @@ int main(int argc, char** argv) {
                                  ? fleet.latency.pct.p99 /
                                        single_report.latency.pct.p99
                                  : 0.0;
-    out << ",\"scaling\":{\"nodes\":" << *nodes << ",\"single_jobs_per_s\":";
-    write_fixed(out, single_report.throughput_jobs_per_s);
-    out << ",\"fleet_jobs_per_s\":";
-    write_fixed(out, fleet.throughput_jobs_per_s);
-    out << ",\"speedup\":";
-    write_fixed(out, speedup);
-    out << ",\"efficiency\":";
-    write_fixed(out, speedup / static_cast<double>(*nodes));
-    out << ",\"single_p99_ms\":";
-    write_fixed(out, single_report.latency.pct.p99);
-    out << ",\"fleet_p99_ms\":";
-    write_fixed(out, fleet.latency.pct.p99);
-    out << ",\"p99_ratio\":";
-    write_fixed(out, p99_ratio);
+    out << ",\"scaling\":{\"nodes\":" << *nodes << ",\"single_jobs_per_s\":"
+        << fixed6(single_report.throughput_jobs_per_s);
+    out << ",\"fleet_jobs_per_s\":" << fixed6(fleet.throughput_jobs_per_s);
+    out << ",\"speedup\":" << fixed6(speedup);
+    out << ",\"efficiency\":" << fixed6(speedup / static_cast<double>(*nodes));
+    out << ",\"single_p99_ms\":" << fixed6(single_report.latency.pct.p99);
+    out << ",\"fleet_p99_ms\":" << fixed6(fleet.latency.pct.p99);
+    out << ",\"p99_ratio\":" << fixed6(p99_ratio);
     out << "}";
   }
 

@@ -89,7 +89,6 @@ struct CommonFlags {
   const double* um_fraction;
   const bool* no_batch;
   const bool* no_cpu;
-  const std::string* queue;
   const std::string* plan;
   const long long* fault_seed;
   const std::string* trace;
@@ -124,8 +123,6 @@ inline CommonFlags add_common_flags(Cli& cli,
       "fraction of jobs over unified-memory buffers (GPU-only placement)");
   f.no_batch = cli.add_flag("no-batch", "disable launch batching");
   f.no_cpu = cli.add_flag("no-cpu", "GPU-only device pools (no Grace CPU)");
-  f.queue = cli.add_string("queue", "heap",
-                           "simulator event queue: heap|calendar");
   f.plan = cli.add_string("plan", "",
                           "fault-plan file (e.g. configs/chaos.plan)");
   f.fault_seed = cli.add_int("fault-seed", 7, "fault-injector RNG seed");
@@ -255,7 +252,6 @@ auto observed_run(const Observe& observe, const std::string& label, Make make,
   }
   if (perf != nullptr) {
     perf->policy = label;
-    perf->queue = target->sim().queue_kind();
     perf->wall_seconds = timer.elapsed_seconds();
     perf->sim_events = target->sim().events_processed();
     perf->jobs_served = static_cast<std::uint64_t>(target->records().size());
@@ -363,12 +359,6 @@ class Harness {
       const bool picked = *flags.policy == "all" || *flags.policy == policy;
       if (policy != "all" && picked) policies_.push_back(policy);
     }
-    const auto queue = sim::parse_queue_kind(*flags.queue);
-    if (!queue) {
-      std::cerr << program << ": unknown --queue value '" << *flags.queue
-                << "' (expected heap or calendar)\n";
-      std::exit(2);
-    }
     if (!flags.plan->empty()) {
       observe_.plan = parse_or_exit(
           program, "--plan", [&] { return fault::load_plan(*flags.plan); });
@@ -401,7 +391,6 @@ class Harness {
     service_.batching.enable = !*flags.no_batch;
     service_.use_cpu = !*flags.no_cpu;
     service_.telemetry = observe_.sink;
-    service_.sim.queue = *queue;
 
     serve::ServiceModelOptions model_options;
     model_options.telemetry = observe_.sink;

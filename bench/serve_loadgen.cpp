@@ -8,7 +8,7 @@
 //   $ ./bench/serve_loadgen --policy=bandwidth --rate=200000 --jobs=500
 //   $ ./bench/serve_loadgen --trace=serve.json      # Chrome-trace timeline
 //   $ ./bench/serve_loadgen --slo --slo-latency-ms=0.5   # burn-rate report
-//   $ ./bench/serve_loadgen --queue=calendar --perf # event-core throughput
+//   $ ./bench/serve_loadgen --perf                  # event-core throughput
 //   $ ./bench/serve_loadgen --trace=t.json --trace-sample=0.01  # 1% of jobs
 //   $ ./bench/serve_loadgen --policy=fifo --plan=configs/chaos.plan  # chaos
 //

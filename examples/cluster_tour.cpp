@@ -23,10 +23,6 @@ namespace {
 
 using namespace ghs;
 
-double to_ms(SimTime t) {
-  return static_cast<double>(t) / static_cast<double>(kMillisecond);
-}
-
 void print_report(const char* label, const cluster::ClusterReport& r) {
   std::printf("%s\n", label);
   std::printf("  served %lld/%lld  rejected %lld  shed %lld  "

@@ -108,9 +108,8 @@ int main(int argc, char** argv) {
   std::printf("  membership log (%lld transitions):\n",
               static_cast<long long>(m.transitions));
   for (const auto& t : fleet.membership_table()->log()) {
-    std::printf("    [%8.3f ms] node%d %s -> %s (%s)\n",
-                static_cast<double>(t.at) / static_cast<double>(kMillisecond),
-                t.node, membership::node_state_name(t.from),
+    std::printf("    [%8.3f ms] node%d %s -> %s (%s)\n", to_ms(t.at), t.node,
+                membership::node_state_name(t.from),
                 membership::node_state_name(t.to), t.reason.c_str());
   }
   std::printf("  final states:");

@@ -23,10 +23,6 @@ namespace {
 
 using namespace ghs;
 
-double to_ms(SimTime t) {
-  return static_cast<double>(t) / static_cast<double>(kMillisecond);
-}
-
 void print_objective(const slo::ObjectiveReport& obj) {
   std::printf("objective %-12s (%s, target %.3f%s)\n", obj.name.c_str(),
               slo::objective_kind_name(obj.kind), obj.target,

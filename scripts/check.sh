@@ -17,9 +17,8 @@
 #                                 # lower bounds (docs/PERFORMANCE.md)
 #
 # The release config also runs scripts/perf_gate.py against the checked-in
-# bench baseline after the tests pass. The asan config exercises the same
-# arena-backed event queues (heap and calendar) under ASan+UBSan via the
-# sim and serve suites.
+# bench baseline after the tests pass. The asan config exercises the
+# arena-backed event queue under ASan+UBSan via the sim and serve suites.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -59,11 +58,8 @@ for config in "${configs[@]}"; do
     cmake --build "$dir" -j "$jobs"
   fi
   if [[ "$config" == perf ]]; then
-    echo "==> perf smoke (10^5 jobs, both queue kinds)"
-    "$dir/bench/serve_loadgen" --jobs=100000 --policy=fifo --perf \
-      --queue=heap >/dev/null
-    "$dir/bench/serve_loadgen" --jobs=100000 --policy=fifo --perf \
-      --queue=calendar >/dev/null
+    echo "==> perf smoke (10^5 jobs)"
+    "$dir/bench/serve_loadgen" --jobs=100000 --policy=fifo --perf >/dev/null
     echo "==> perf gate (wall-clock lower bounds)"
     python3 scripts/perf_gate.py --bindir "$dir/bench" --only serve_perf
     continue

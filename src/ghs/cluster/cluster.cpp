@@ -1,45 +1,16 @@
 #include "ghs/cluster/cluster.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <limits>
 #include <utility>
 
 #include "ghs/serve/policy.hpp"
 #include "ghs/util/error.hpp"
+#include "ghs/util/json.hpp"
 
 namespace ghs::cluster {
 
 namespace {
-
-double to_ms(SimTime t) {
-  return static_cast<double>(t) / static_cast<double>(kMillisecond);
-}
-
-// Same fixed snprintf shape as the serve-layer reports: JSON output must
-// be byte-stable across runs.
-void write_double(std::ostream& os, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6f", value);
-  os << buf;
-}
-
-void write_latency(std::ostream& os, const char* key,
-                   const serve::LatencyStats& stats) {
-  os << "\"" << key << "\":{\"count\":" << stats.count << ",\"mean_ms\":";
-  write_double(os, stats.mean_ms);
-  os << ",\"p50_ms\":";
-  write_double(os, stats.pct.p50);
-  os << ",\"p95_ms\":";
-  write_double(os, stats.pct.p95);
-  os << ",\"p99_ms\":";
-  write_double(os, stats.pct.p99);
-  os << ",\"p999_ms\":";
-  write_double(os, stats.pct.p999);
-  os << ",\"max_ms\":";
-  write_double(os, stats.max_ms);
-  os << "}";
-}
 
 bool arrival_sorted(const std::vector<serve::Job>& jobs) {
   for (std::size_t i = 1; i < jobs.size(); ++i) {
@@ -55,12 +26,10 @@ void MembershipReport::write_json(std::ostream& os) const {
      << ",\"drains\":" << drains << ",\"drain_flushed\":" << drain_flushed
      << ",\"replayed\":" << replayed << ",\"redirected\":" << redirected
      << ",\"duplicate_suppressed\":" << duplicate_suppressed
-     << ",\"replay_gb\":";
-  write_double(os, replay_gb);
-  os << ",\"detections\":" << detections << ",\"detection_mean_ms\":";
-  write_double(os, detection_mean_ms);
-  os << ",\"detection_max_ms\":";
-  write_double(os, detection_max_ms);
+     << ",\"replay_gb\":" << fixed6(replay_gb);
+  os << ",\"detections\":" << detections << ",\"detection_mean_ms\":"
+     << fixed6(detection_mean_ms);
+  os << ",\"detection_max_ms\":" << fixed6(detection_max_ms);
   os << ",\"transitions\":" << transitions << ",\"final_states\":[";
   for (std::size_t i = 0; i < final_states.size(); ++i) {
     os << (i == 0 ? "" : ",") << "\"" << final_states[i] << "\"";
@@ -73,25 +42,21 @@ void ClusterReport::write_json(std::ostream& os) const {
      << "\",\"nodes\":" << nodes << ",\"submitted\":" << submitted
      << ",\"served\":" << served << ",\"rejected\":" << rejected
      << ",\"shed\":" << shed << ",\"remote_jobs\":" << remote_jobs
-     << ",\"transfers\":" << transfers << ",\"transfer_gb\":";
-  write_double(os, transfer_gb);
+     << ",\"transfers\":" << transfers << ",\"transfer_gb\":"
+     << fixed6(transfer_gb);
   os << ",\"spills\":" << spills << ",\"spilled_saved\":" << spilled_saved
      << ",\"steals\":" << steals << ",\"stolen_jobs\":" << stolen_jobs
-     << ",\"makespan_ms\":";
-  write_double(os, to_ms(makespan));
+     << ",\"makespan_ms\":" << fixed6(to_ms(makespan));
   os << ",\"bytes_served\":" << bytes_served
-     << ",\"throughput_jobs_per_s\":";
-  write_double(os, throughput_jobs_per_s);
-  os << ",\"throughput_gbps\":";
-  write_double(os, throughput_gbps);
+     << ",\"throughput_jobs_per_s\":" << fixed6(throughput_jobs_per_s);
+  os << ",\"throughput_gbps\":" << fixed6(throughput_gbps);
   os << ",";
-  write_latency(os, "latency", latency);
+  serve::write_latency(os, "latency", latency);
   os << ",\"routed\":[";
   for (std::size_t i = 0; i < routed.size(); ++i) {
     os << (i == 0 ? "" : ",") << routed[i];
   }
-  os << "],\"imbalance\":";
-  write_double(os, imbalance);
+  os << "],\"imbalance\":" << fixed6(imbalance);
   os << ",\"node_reports\":[";
   for (std::size_t i = 0; i < node_reports.size(); ++i) {
     if (i != 0) os << ",";
@@ -112,7 +77,6 @@ Cluster::Cluster(serve::ServiceModel& model, ClusterOptions options,
     : model_(model),
       options_(std::move(options)),
       tracer_(tracer),
-      sim_(options_.node.sim),
       router_(options_.router, options_.router_seed, options_.ring_vnodes) {
   GHS_REQUIRE(options_.nodes > 0, "nodes=" << options_.nodes);
   GHS_REQUIRE(!passthrough() || options_.nodes == 1,

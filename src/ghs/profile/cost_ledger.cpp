@@ -6,21 +6,12 @@
 #include <string>
 
 #include "ghs/util/error.hpp"
+#include "ghs/util/json.hpp"
 #include "ghs/workload/cases.hpp"
 
 namespace ghs::profile {
 
 namespace {
-
-void write_double(std::ostream& os, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6f", value);
-  os << buf;
-}
-
-double to_ms(SimTime t) {
-  return static_cast<double>(t) / static_cast<double>(kMillisecond);
-}
 
 const char* op_name(std::uint8_t op) {
   return workload::case_spec(static_cast<workload::CaseId>(op)).name;
@@ -199,15 +190,14 @@ void CostLedger::write_json(std::ostream& os,
     os << "{\"tenant\":" << key.tenant << ",\"op\":\"" << op_name(key.op)
        << "\",\"node\":" << key.node << ",\"device\":\""
        << device_name(key.device) << "\",\"phase\":\""
-       << phase_name(key.phase) << "\",\"time_ms\":";
-    write_double(os, to_ms(cost.time_ps));
+       << phase_name(key.phase) << "\",\"time_ms\":"
+       << fixed6(to_ms(cost.time_ps));
     os << ",\"bytes\":" << cost.bytes << ",\"events\":" << cost.events
        << "}";
   }
-  os << "],\"totals\":{\"gpu_busy_ms\":";
-  write_double(os, to_ms(attributed_.gpu_busy_ps));
-  os << ",\"cpu_busy_ms\":";
-  write_double(os, to_ms(attributed_.cpu_busy_ps));
+  os << "],\"totals\":{\"gpu_busy_ms\":"
+     << fixed6(to_ms(attributed_.gpu_busy_ps));
+  os << ",\"cpu_busy_ms\":" << fixed6(to_ms(attributed_.cpu_busy_ps));
   os << ",\"um_bytes\":" << attributed_.um_bytes
      << ",\"transfer_bytes\":" << attributed_.transfer_bytes
      << ",\"replay_bytes\":" << attributed_.replay_bytes

@@ -2,44 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <string>
 
 #include "ghs/util/error.hpp"
+#include "ghs/util/json.hpp"
 
 namespace ghs::serve {
 
 namespace {
-
-double to_ms(SimTime t) {
-  return static_cast<double>(t) / static_cast<double>(kMillisecond);
-}
-
-// Fixed-notation double with enough digits to round-trip latencies; JSON
-// output must be byte-stable across runs, so formatting goes through one
-// snprintf shape only.
-void write_double(std::ostream& os, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6f", value);
-  os << buf;
-}
-
-void write_latency(std::ostream& os, const char* key,
-                   const LatencyStats& stats) {
-  os << "\"" << key << "\":{\"count\":" << stats.count << ",\"mean_ms\":";
-  write_double(os, stats.mean_ms);
-  os << ",\"p50_ms\":";
-  write_double(os, stats.pct.p50);
-  os << ",\"p95_ms\":";
-  write_double(os, stats.pct.p95);
-  os << ",\"p99_ms\":";
-  write_double(os, stats.pct.p99);
-  os << ",\"p999_ms\":";
-  write_double(os, stats.pct.p999);
-  os << ",\"max_ms\":";
-  write_double(os, stats.max_ms);
-  os << "}";
-}
 
 fault::Injector* effective_injector(fault::Injector* injector) {
   if (injector == nullptr || injector->plan().empty()) return nullptr;
@@ -51,6 +21,17 @@ int device_index(Placement device) {
 }
 
 }  // namespace
+
+void write_latency(std::ostream& os, const char* key,
+                   const LatencyStats& stats) {
+  os << "\"" << key << "\":{\"count\":" << stats.count
+     << ",\"mean_ms\":" << fixed6(stats.mean_ms)
+     << ",\"p50_ms\":" << fixed6(stats.pct.p50)
+     << ",\"p95_ms\":" << fixed6(stats.pct.p95)
+     << ",\"p99_ms\":" << fixed6(stats.pct.p99)
+     << ",\"p999_ms\":" << fixed6(stats.pct.p999)
+     << ",\"max_ms\":" << fixed6(stats.max_ms) << "}";
+}
 
 LatencyStats make_latency_stats(const std::vector<double>& ms) {
   LatencyStats stats;
@@ -71,13 +52,10 @@ void ServiceReport::write_json(std::ostream& os) const {
      << ",\"batched_jobs\":" << batched_jobs << ",\"gpu_jobs\":" << gpu_jobs
      << ",\"cpu_jobs\":" << cpu_jobs << ",\"um_jobs\":" << um_jobs
      << ",\"queue_high_watermark\":" << queue_high_watermark
-     << ",\"makespan_ms\":";
-  write_double(os, to_ms(makespan));
+     << ",\"makespan_ms\":" << fixed6(to_ms(makespan));
   os << ",\"bytes_served\":" << bytes_served
-     << ",\"throughput_jobs_per_s\":";
-  write_double(os, throughput_jobs_per_s);
-  os << ",\"throughput_gbps\":";
-  write_double(os, throughput_gbps);
+     << ",\"throughput_jobs_per_s\":" << fixed6(throughput_jobs_per_s);
+  os << ",\"throughput_gbps\":" << fixed6(throughput_gbps);
   os << ",";
   write_latency(os, "latency", latency);
   os << ",";
@@ -103,7 +81,7 @@ ReductionService::ReductionService(std::unique_ptr<SchedulerPolicy> policy,
       options_(options),
       tracer_(tracer),
       owned_sim_(options.external_sim == nullptr
-                     ? std::make_unique<sim::Simulator>(options.sim)
+                     ? std::make_unique<sim::Simulator>()
                      : nullptr),
       sim_(options.external_sim != nullptr ? *options.external_sim
                                            : *owned_sim_),

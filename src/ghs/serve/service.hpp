@@ -72,10 +72,6 @@ struct ServiceOptions {
   RetryOptions retry;
   /// Per-device circuit-breaker thresholds (shared by GPU and CPU).
   fault::BreakerOptions breaker;
-  /// Simulator construction knobs (event-queue implementation). Both
-  /// queue kinds dispatch in identical order, so this is a pure
-  /// performance choice — reports do not change with it.
-  sim::SimConfig sim;
   /// Embeddability hook: when set, the service schedules onto this
   /// simulator instead of owning one, so several services (the nodes of a
   /// ghs::cluster fleet) share a single clock and event queue. The caller
@@ -110,6 +106,11 @@ struct LatencyStats {
 /// Zero-filled for empty input; a single sample pins every percentile to
 /// that sample.
 LatencyStats make_latency_stats(const std::vector<double>& ms);
+
+/// Writes `"key":{count, mean_ms, p50_ms ... max_ms}`, the latency block of
+/// the serve and cluster JSON reports.
+void write_latency(std::ostream& os, const char* key,
+                   const LatencyStats& stats);
 
 struct ServiceReport {
   std::string policy;

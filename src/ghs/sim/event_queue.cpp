@@ -1,57 +1,27 @@
 #include "ghs/sim/event_queue.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "ghs/util/error.hpp"
 
 namespace ghs::sim {
 
-const char* queue_kind_name(QueueKind kind) {
-  switch (kind) {
-    case QueueKind::kHeap:
-      return "heap";
-    case QueueKind::kCalendar:
-      return "calendar";
-  }
-  GHS_CHECK(false, "unknown QueueKind " << static_cast<int>(kind));
-}
-
-std::optional<QueueKind> parse_queue_kind(const std::string& name) {
-  if (name == "heap") return QueueKind::kHeap;
-  if (name == "calendar") return QueueKind::kCalendar;
-  return std::nullopt;
-}
-
-std::unique_ptr<EventQueue> make_event_queue(QueueKind kind) {
-  switch (kind) {
-    case QueueKind::kHeap:
-      return std::make_unique<HeapEventQueue>();
-    case QueueKind::kCalendar:
-      return std::make_unique<CalendarEventQueue>();
-  }
-  GHS_CHECK(false, "unknown QueueKind " << static_cast<int>(kind));
-}
-
-// ---------------------------------------------------------------------------
-// HeapEventQueue
-
-HeapEventQueue::~HeapEventQueue() {
+EventQueue::~EventQueue() {
   for (Node* node : heap_) pool_.release(node);
 }
 
-void HeapEventQueue::push(SimTime time, Event fn) {
+void EventQueue::push(SimTime time, Event fn) {
   GHS_REQUIRE(time >= 0, "event time " << time);
   heap_.push_back(pool_.make(time, next_seq_++, std::move(fn)));
   sift_up(heap_.size() - 1);
 }
 
-SimTime HeapEventQueue::next_time() const {
+SimTime EventQueue::next_time() const {
   GHS_REQUIRE(!heap_.empty(), "next_time on empty queue");
   return heap_.front()->time;
 }
 
-HeapEventQueue::Node* HeapEventQueue::pop_node() {
+EventQueue::Node* EventQueue::pop_node() {
   Node* top = heap_.front();
   heap_.front() = heap_.back();
   heap_.pop_back();
@@ -59,7 +29,7 @@ HeapEventQueue::Node* HeapEventQueue::pop_node() {
   return top;
 }
 
-Event HeapEventQueue::pop() {
+Event EventQueue::pop() {
   GHS_REQUIRE(!heap_.empty(), "pop on empty queue");
   Node* node = pop_node();
   Event fn = std::move(node->fn);
@@ -67,7 +37,7 @@ Event HeapEventQueue::pop() {
   return fn;
 }
 
-void HeapEventQueue::drain_run(SimTime t, std::vector<Event>& out) {
+void EventQueue::drain_run(SimTime t, std::vector<Event>& out) {
   do {
     Node* node = pop_node();
     out.push_back(std::move(node->fn));
@@ -75,27 +45,21 @@ void HeapEventQueue::drain_run(SimTime t, std::vector<Event>& out) {
   } while (!heap_.empty() && heap_.front()->time == t);
 }
 
-void HeapEventQueue::pop_ready(std::vector<Event>& out) {
-  GHS_REQUIRE(!heap_.empty(), "pop_ready on empty queue");
-  drain_run(heap_.front()->time, out);
-}
-
-SimTime HeapEventQueue::drain_ready(std::vector<Event>& out) {
-  if (heap_.empty()) return kNoEvent;
+SimTime EventQueue::drain_ready(std::vector<Event>& out) {
+  GHS_REQUIRE(!heap_.empty(), "drain_ready on empty queue");
   const SimTime t = heap_.front()->time;
   drain_run(t, out);
   return t;
 }
 
-std::size_t HeapEventQueue::drain_ready_at(SimTime t,
-                                           std::vector<Event>& out) {
+std::size_t EventQueue::drain_ready_at(SimTime t, std::vector<Event>& out) {
   if (heap_.empty() || heap_.front()->time != t) return 0;
   const std::size_t before = out.size();
   drain_run(t, out);
   return out.size() - before;
 }
 
-void HeapEventQueue::sift_up(std::size_t index) {
+void EventQueue::sift_up(std::size_t index) {
   Node* node = heap_[index];
   while (index > 0) {
     const std::size_t parent = (index - 1) / 2;
@@ -106,7 +70,7 @@ void HeapEventQueue::sift_up(std::size_t index) {
   heap_[index] = node;
 }
 
-void HeapEventQueue::sift_down(std::size_t index) {
+void EventQueue::sift_down(std::size_t index) {
   Node* node = heap_[index];
   const std::size_t size = heap_.size();
   for (;;) {
@@ -118,204 +82,6 @@ void HeapEventQueue::sift_down(std::size_t index) {
     index = child;
   }
   heap_[index] = node;
-}
-
-// ---------------------------------------------------------------------------
-// CalendarEventQueue
-
-CalendarEventQueue::CalendarEventQueue() {
-  buckets_.resize(kMinBuckets);
-  mask_ = kMinBuckets - 1;
-  cursor_ = 0;
-  cursor_window_end_ = width_;
-}
-
-CalendarEventQueue::~CalendarEventQueue() {
-  for (auto& bucket : buckets_) {
-    for (Node* node : bucket) pool_.release(node);
-  }
-}
-
-void CalendarEventQueue::insert(Node* node) {
-  std::vector<Node*>& bucket = buckets_[bucket_of(node->time)];
-  // Most pushes land at the end of their bucket (times mostly increase and
-  // seq always does), so test the back before binary-searching.
-  if (bucket.empty() || bucket.back()->before(*node)) {
-    bucket.push_back(node);
-    return;
-  }
-  auto pos = std::upper_bound(
-      bucket.begin(), bucket.end(), node,
-      [](const Node* a, const Node* b) { return a->before(*b); });
-  bucket.insert(pos, node);
-}
-
-void CalendarEventQueue::push(SimTime time, Event fn) {
-  GHS_REQUIRE(time >= 0, "event time " << time);
-  Node* node = pool_.make(time, next_seq_++, std::move(fn));
-  insert(node);
-  ++size_;
-  // An event earlier than the day the cursor is serving rewinds the
-  // cursor to that day; otherwise the lazy scan would walk past it.
-  if (time < cursor_window_end_ - width_) {
-    cursor_ = bucket_of(time);
-    cursor_window_end_ = window_end_of(time);
-  }
-  if (cached_min_ != nullptr && node->before(*cached_min_)) {
-    cached_min_ = nullptr;
-  }
-  maybe_resize();
-}
-
-CalendarEventQueue::Node* CalendarEventQueue::peek() const {
-  if (cached_min_ != nullptr) return cached_min_;
-  // Walk the ring day by day. Earlier days are already drained and pushes
-  // rewind the cursor, so the first front-of-bucket event that falls
-  // inside the current day window is the global minimum.
-  for (std::size_t scanned = 0; scanned < buckets_.size(); ++scanned) {
-    const std::vector<Node*>& bucket = buckets_[cursor_];
-    if (!bucket.empty() && bucket.front()->time < cursor_window_end_) {
-      cached_min_ = bucket.front();
-      return cached_min_;
-    }
-    cursor_ = (cursor_ + 1) & mask_;
-    cursor_window_end_ += width_;
-  }
-  // A full lap found nothing in-window: every remaining event is at least
-  // a year out (far-future outliers). Direct search over bucket fronts —
-  // O(nbuckets) instead of walking empty days one by one.
-  Node* min_node = nullptr;
-  for (const auto& bucket : buckets_) {
-    if (bucket.empty()) continue;
-    if (min_node == nullptr || bucket.front()->before(*min_node)) {
-      min_node = bucket.front();
-    }
-  }
-  GHS_CHECK(min_node != nullptr, "peek on empty calendar queue");
-  cursor_ = bucket_of(min_node->time);
-  cursor_window_end_ = window_end_of(min_node->time);
-  cached_min_ = min_node;
-  return cached_min_;
-}
-
-SimTime CalendarEventQueue::next_time() const {
-  GHS_REQUIRE(size_ > 0, "next_time on empty queue");
-  return peek()->time;
-}
-
-Event CalendarEventQueue::pop() {
-  GHS_REQUIRE(size_ > 0, "pop on empty queue");
-  Node* node = peek();
-  std::vector<Node*>& bucket = buckets_[cursor_];
-  bucket.erase(bucket.begin());
-  --size_;
-  cached_min_ = nullptr;
-  Event fn = std::move(node->fn);
-  pool_.release(node);
-  maybe_resize();
-  return fn;
-}
-
-void CalendarEventQueue::drain_run(SimTime t, std::vector<Event>& out) {
-  // Equal times always map to the same bucket, so the whole run is the
-  // bucket's (time == t) prefix, already in seq order.
-  std::vector<Node*>& bucket = buckets_[cursor_];
-  std::size_t run = 0;
-  while (run < bucket.size() && bucket[run]->time == t) {
-    out.push_back(std::move(bucket[run]->fn));
-    pool_.release(bucket[run]);
-    ++run;
-  }
-  bucket.erase(bucket.begin(),
-               bucket.begin() + static_cast<std::ptrdiff_t>(run));
-  size_ -= run;
-  cached_min_ = nullptr;
-  maybe_resize();
-}
-
-void CalendarEventQueue::pop_ready(std::vector<Event>& out) {
-  GHS_REQUIRE(size_ > 0, "pop_ready on empty queue");
-  drain_run(peek()->time, out);
-}
-
-SimTime CalendarEventQueue::drain_ready(std::vector<Event>& out) {
-  if (size_ == 0) return kNoEvent;
-  const SimTime t = peek()->time;
-  drain_run(t, out);
-  return t;
-}
-
-std::size_t CalendarEventQueue::drain_ready_at(SimTime t,
-                                               std::vector<Event>& out) {
-  if (size_ == 0 || peek()->time != t) return 0;
-  const std::size_t before = out.size();
-  drain_run(t, out);
-  return out.size() - before;
-}
-
-void CalendarEventQueue::maybe_resize() {
-  if (size_ > 2 * buckets_.size()) {
-    rebuild(buckets_.size() * 2);
-  } else if (buckets_.size() > kMinBuckets && size_ < buckets_.size() / 2) {
-    rebuild(buckets_.size() / 2);
-  }
-}
-
-void CalendarEventQueue::rebuild(std::size_t new_bucket_count) {
-  std::vector<Node*> nodes;
-  nodes.reserve(size_);
-  for (auto& bucket : buckets_) {
-    nodes.insert(nodes.end(), bucket.begin(), bucket.end());
-    bucket.clear();
-  }
-
-  // Re-estimate the day width from the inter-event gaps of the soonest
-  // events (Brown's estimator): wide enough that a day holds a handful of
-  // events, narrow enough that a bucket isn't scanned linearly.
-  if (nodes.size() >= 2) {
-    constexpr std::size_t kSampleSize = 64;
-    const std::size_t sample = std::min(nodes.size(), kSampleSize);
-    std::nth_element(nodes.begin(),
-                     nodes.begin() + static_cast<std::ptrdiff_t>(sample - 1),
-                     nodes.end(),
-                     [](const Node* a, const Node* b) { return a->before(*b); });
-    std::vector<SimTime> times;
-    times.reserve(sample);
-    for (std::size_t i = 0; i < sample; ++i) times.push_back(nodes[i]->time);
-    std::sort(times.begin(), times.end());
-    SimTime gap_sum = 0;
-    std::size_t gap_count = 0;
-    for (std::size_t i = 1; i < times.size(); ++i) {
-      const SimTime gap = times[i] - times[i - 1];
-      if (gap > 0) {
-        gap_sum += gap;
-        ++gap_count;
-      }
-    }
-    if (gap_count > 0) {
-      // Three average separations per day keeps expected occupancy small
-      // with hysteresis against resizing on every estimate jitter.
-      width_ = std::max<SimTime>(1, 3 * gap_sum / static_cast<SimTime>(gap_count));
-    }
-  }
-
-  buckets_.assign(new_bucket_count, {});
-  mask_ = new_bucket_count - 1;
-  for (Node* node : nodes) insert(node);
-
-  cached_min_ = nullptr;
-  if (size_ == 0) {
-    cursor_ = 0;
-    cursor_window_end_ = width_;
-  } else {
-    // Re-anchor the cursor on the earliest event's day.
-    Node* min_node = nodes.front();
-    for (Node* node : nodes) {
-      if (node->before(*min_node)) min_node = node;
-    }
-    cursor_ = bucket_of(min_node->time);
-    cursor_window_end_ = window_end_of(min_node->time);
-  }
 }
 
 }  // namespace ghs::sim

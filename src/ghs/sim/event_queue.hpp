@@ -1,28 +1,17 @@
-// Time-ordered event queues for the discrete-event simulator.
+// The discrete-event simulator's time-ordered event queue.
 //
-// EventQueue is a pluggable interface with one ordering contract shared by
-// every implementation: events pop in strictly increasing (time, seq)
-// order, where seq is the insertion sequence number — so ties are FIFO and
-// execution order is deterministic regardless of the structure underneath.
-// Two implementations ship:
-//
-//  * HeapEventQueue — a binary heap over pool-allocated nodes. O(log n)
-//    push/pop; the reference implementation every other queue must match
-//    pop-for-pop (see tests/sim/event_queue_property_test.cpp).
-//  * CalendarEventQueue — a classic calendar queue (Brown 1988): a ring of
-//    time-bucketed "days", each one `width` picoseconds wide, resized and
-//    re-tuned as the population grows/shrinks. Amortised O(1) push/pop
-//    for the schedules simulations actually produce, which is what makes
-//    10^6-job serve runs cheap (docs/PERFORMANCE.md has the numbers).
+// Events pop in strictly increasing (time, seq) order, where seq is the
+// insertion sequence number — so ties are FIFO and execution order is
+// deterministic. The structure is a binary min-heap over pool-allocated
+// nodes: O(log n) push/pop, which is cheap because every workload in the
+// repository keeps the queue a few dozen entries deep at most
+// (docs/PERFORMANCE.md §1 has the measured depths).
 //
 // Events are move-only small-buffer callables (sim/event.hpp) stored in
 // pool nodes — no per-event shared_ptr, no per-event malloc.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "ghs/sim/event.hpp"
@@ -31,95 +20,55 @@
 
 namespace ghs::sim {
 
-/// Which EventQueue implementation a simulator runs on.
-enum class QueueKind : std::uint8_t { kHeap, kCalendar };
-
-const char* queue_kind_name(QueueKind kind);
-
-/// Parses "heap" / "calendar"; nullopt on anything else.
-std::optional<QueueKind> parse_queue_kind(const std::string& name);
-
+/// Hand-rolled binary min-heap over node pointers, so sift operations move
+/// 8-byte pointers instead of whole entries and the events themselves never
+/// move after insertion.
 class EventQueue {
  public:
-  /// Sentinel returned by drain_ready on an empty queue (event times are
-  /// always >= 0).
-  static constexpr SimTime kNoEvent = -1;
-
-  virtual ~EventQueue() = default;
+  EventQueue() = default;
+  EventQueue(const EventQueue&) = delete;
+  EventQueue& operator=(const EventQueue&) = delete;
+  ~EventQueue();
 
   /// Enqueues `fn` at `time` (>= 0). FIFO among equal times.
-  virtual void push(SimTime time, Event fn) = 0;
+  void push(SimTime time, Event fn);
 
-  virtual bool empty() const = 0;
-  virtual std::size_t size() const = 0;
+  bool empty() const { return heap_.empty(); }
+  std::size_t size() const { return heap_.size(); }
 
   /// Time of the earliest event; queue must be non-empty.
-  virtual SimTime next_time() const = 0;
+  SimTime next_time() const;
 
   /// Removes and returns the earliest event's callback.
-  virtual Event pop() = 0;
+  Event pop();
 
   /// Appends every event whose time equals next_time() to `out`, in pop
-  /// order, and removes them from the queue. The batched form of pop():
-  /// the calendar queue splices the whole same-timestamp run out of one
-  /// bucket in a single scan, and even the heap saves the per-event
-  /// virtual-call/peek round trips. Queue must be non-empty.
-  virtual void pop_ready(std::vector<Event>& out) = 0;
-
-  /// Fused empty() + next_time() + pop_ready(): drains the earliest
-  /// timestamp's events into `out` (appended) and returns that timestamp,
-  /// or kNoEvent if the queue is empty. One virtual call per clock step —
-  /// this is what the simulator's hot loop uses.
-  virtual SimTime drain_ready(std::vector<Event>& out) = 0;
+  /// order, removes them from the queue and returns that timestamp. The
+  /// batched form of pop() the simulator's hot loop uses. Queue must be
+  /// non-empty.
+  SimTime drain_ready(std::vector<Event>& out);
 
   /// Drains the earliest timestamp's events into `out` only when that
   /// timestamp equals `t` (same-time follow-ups a handler scheduled
   /// mid-batch); returns the number of events drained, 0 when the queue
   /// is empty or its next event is later.
-  virtual std::size_t drain_ready_at(SimTime t, std::vector<Event>& out) = 0;
-
-  virtual QueueKind kind() const = 0;
-};
-
-std::unique_ptr<EventQueue> make_event_queue(QueueKind kind);
-
-namespace detail {
-/// Pool-allocated queue entry shared by both implementations.
-struct EventNode {
-  SimTime time = 0;
-  std::uint64_t seq = 0;
-  Event fn;
-
-  EventNode(SimTime t, std::uint64_t s, Event f)
-      : time(t), seq(s), fn(std::move(f)) {}
-
-  /// The total order every queue implementation pops in.
-  bool before(const EventNode& other) const {
-    if (time != other.time) return time < other.time;
-    return seq < other.seq;
-  }
-};
-}  // namespace detail
-
-/// Reference implementation: hand-rolled binary min-heap over node
-/// pointers, so sift operations move 8-byte pointers instead of whole
-/// entries and the events themselves never move after insertion.
-class HeapEventQueue final : public EventQueue {
- public:
-  void push(SimTime time, Event fn) override;
-  bool empty() const override { return heap_.empty(); }
-  std::size_t size() const override { return heap_.size(); }
-  SimTime next_time() const override;
-  Event pop() override;
-  void pop_ready(std::vector<Event>& out) override;
-  SimTime drain_ready(std::vector<Event>& out) override;
-  std::size_t drain_ready_at(SimTime t, std::vector<Event>& out) override;
-  QueueKind kind() const override { return QueueKind::kHeap; }
-
-  ~HeapEventQueue() override;
+  std::size_t drain_ready_at(SimTime t, std::vector<Event>& out);
 
  private:
-  using Node = detail::EventNode;
+  struct Node {
+    SimTime time = 0;
+    std::uint64_t seq = 0;
+    Event fn;
+
+    Node(SimTime t, std::uint64_t s, Event f)
+        : time(t), seq(s), fn(std::move(f)) {}
+
+    /// The total order the queue pops in.
+    bool before(const Node& other) const {
+      if (time != other.time) return time < other.time;
+      return seq < other.seq;
+    }
+  };
 
   void sift_up(std::size_t index);
   void sift_down(std::size_t index);
@@ -130,70 +79,6 @@ class HeapEventQueue final : public EventQueue {
   util::Pool<Node> pool_{1024};
   std::vector<Node*> heap_;
   std::uint64_t next_seq_ = 0;
-};
-
-/// Calendar queue: a power-of-two ring of buckets ("days"), each `width_`
-/// picoseconds wide; bucket index = (time / width) & mask, so one lap of
-/// the ring is one "year". A cursor walks the ring day by day; events land
-/// in their day's bucket sorted by (time, seq). The bucket count doubles
-/// (halves) when the population outgrows (undershoots) the ring, and each
-/// rebuild re-estimates the width from the inter-event gaps of the
-/// soonest events, which keeps the expected bucket occupancy O(1) even
-/// when the schedule carries far-future outliers.
-class CalendarEventQueue final : public EventQueue {
- public:
-  CalendarEventQueue();
-
-  void push(SimTime time, Event fn) override;
-  bool empty() const override { return size_ == 0; }
-  std::size_t size() const override { return size_; }
-  SimTime next_time() const override;
-  Event pop() override;
-  void pop_ready(std::vector<Event>& out) override;
-  SimTime drain_ready(std::vector<Event>& out) override;
-  std::size_t drain_ready_at(SimTime t, std::vector<Event>& out) override;
-  QueueKind kind() const override { return QueueKind::kCalendar; }
-
-  ~CalendarEventQueue() override;
-
-  /// Introspection for tests and the performance doc.
-  std::size_t bucket_count() const { return buckets_.size(); }
-  SimTime bucket_width() const { return width_; }
-
- private:
-  using Node = detail::EventNode;
-
-  static constexpr std::size_t kMinBuckets = 8;
-
-  std::size_t bucket_of(SimTime time) const {
-    return static_cast<std::size_t>(time / width_) & mask_;
-  }
-  /// End of the day-window that contains `time`.
-  SimTime window_end_of(SimTime time) const {
-    return (time / width_ + 1) * width_;
-  }
-
-  /// Earliest node (cached between peeks); positions the cursor on its
-  /// bucket. Queue must be non-empty.
-  Node* peek() const;
-  /// Splices the cursor bucket's (time == t) prefix run into `out`; peek()
-  /// must have positioned the cursor.
-  void drain_run(SimTime t, std::vector<Event>& out);
-  void insert(Node* node);
-  void maybe_resize();
-  void rebuild(std::size_t new_bucket_count);
-
-  util::Pool<Node> pool_{1024};
-  std::vector<std::vector<Node*>> buckets_;
-  std::size_t mask_ = 0;
-  SimTime width_ = kMicrosecond;
-  std::size_t size_ = 0;
-  std::uint64_t next_seq_ = 0;
-
-  // Cursor state (mutable: peek() advances it lazily).
-  mutable std::size_t cursor_ = 0;
-  mutable SimTime cursor_window_end_ = 0;
-  mutable Node* cached_min_ = nullptr;
 };
 
 }  // namespace ghs::sim

@@ -6,14 +6,11 @@
 
 namespace ghs::sim {
 
-Simulator::Simulator(const SimConfig& config)
-    : queue_(make_event_queue(config.queue)) {}
-
 void Simulator::schedule_at(SimTime t, Event fn) {
   GHS_REQUIRE(t >= now_, "cannot schedule into the past: t=" << t
                                                              << " now=" << now_);
-  queue_->push(t, std::move(fn));
-  if (++pending_ > peak_queue_size_) peak_queue_size_ = pending_;
+  queue_.push(t, std::move(fn));
+  if (queue_.size() > peak_queue_size_) peak_queue_size_ = queue_.size();
 }
 
 void Simulator::schedule_after(SimTime dt, Event fn) {
@@ -28,10 +25,9 @@ void Simulator::advance_to(SimTime t) {
 }
 
 bool Simulator::step() {
-  if (queue_->empty()) return false;
-  const SimTime t = queue_->next_time();
-  Event fn = queue_->pop();
-  --pending_;
+  if (queue_.empty()) return false;
+  const SimTime t = queue_.next_time();
+  Event fn = queue_.pop();
   advance_to(t);
   if (events_counter_ != nullptr) events_counter_->inc();
   ++events_processed_;
@@ -40,16 +36,13 @@ bool Simulator::step() {
 }
 
 std::size_t Simulator::drain_batch() {
+  if (queue_.empty()) return 0;
   // Steal the scratch buffer so a handler that re-enters the simulator
   // cannot clobber the batch mid-dispatch; hand the capacity back at the
   // end so steady-state batches never allocate.
   std::vector<Event> batch = std::move(batch_);
   batch.clear();
-  const SimTime t = queue_->drain_ready(batch);
-  if (t == EventQueue::kNoEvent) {
-    batch_ = std::move(batch);
-    return 0;
-  }
+  const SimTime t = queue_.drain_ready(batch);
   advance_to(t);
   std::size_t executed = 0;
   for (;;) {
@@ -58,13 +51,12 @@ std::size_t Simulator::drain_batch() {
     }
     events_processed_ += batch.size();
     executed += batch.size();
-    pending_ -= batch.size();
     for (Event& fn : batch) fn();
     batch.clear();
     // Handlers may schedule more work at the current time; those events
     // have higher seq numbers, so collecting them on the next round
     // preserves the exact step()-wise order.
-    if (queue_->drain_ready_at(t, batch) == 0) break;
+    if (queue_.drain_ready_at(t, batch) == 0) break;
   }
   batch_ = std::move(batch);
   return executed;
@@ -76,10 +68,10 @@ void Simulator::run() {
 }
 
 bool Simulator::run_until(SimTime deadline) {
-  while (!queue_->empty() && queue_->next_time() <= deadline) {
+  while (!queue_.empty() && queue_.next_time() <= deadline) {
     drain_batch();
   }
-  if (queue_->empty()) return true;
+  if (queue_.empty()) return true;
   if (deadline > now_) advance_to(deadline);
   return false;
 }

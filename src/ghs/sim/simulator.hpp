@@ -2,14 +2,12 @@
 // substrate models (memory system, GPU, CPU, UM migration engine) schedule
 // work here; nothing in the repository reads wall-clock time.
 //
-// The queue implementation is pluggable (SimConfig::queue): the binary
-// heap is the reference, the calendar queue is the million-job fast path.
-// Both pop in identical (time, seq) order, so a simulation's output is
-// byte-identical across queue kinds at the same seed.
+// The simulator owns one EventQueue (a binary heap) by value; events
+// dispatch in (time, seq) order, so a simulation's output is byte-identical
+// across runs at the same seed.
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <vector>
 
 #include "ghs/sim/event_queue.hpp"
@@ -18,16 +16,8 @@
 
 namespace ghs::sim {
 
-/// Knobs fixed at simulator construction.
-struct SimConfig {
-  QueueKind queue = QueueKind::kHeap;
-};
-
 class Simulator {
  public:
-  Simulator() : Simulator(SimConfig{}) {}
-  explicit Simulator(const SimConfig& config);
-
   SimTime now() const { return now_; }
 
   /// Schedules `fn` at absolute simulated time `t` (>= now()).
@@ -55,12 +45,10 @@ class Simulator {
   std::size_t drain_batch();
 
   std::size_t events_processed() const { return events_processed_; }
-  bool idle() const { return queue_->empty(); }
+  bool idle() const { return queue_.empty(); }
 
   /// High-water mark of the pending-event count, updated at push.
   std::size_t peak_queue_size() const { return peak_queue_size_; }
-
-  QueueKind queue_kind() const { return queue_->kind(); }
 
   /// Registers the event/clock counters (null disables). Counters are
   /// shared by identity, so platforms wired to one registry accumulate.
@@ -70,12 +58,9 @@ class Simulator {
   void advance_to(SimTime t);
 
   SimTime now_ = 0;
-  std::unique_ptr<EventQueue> queue_;
+  EventQueue queue_;
   std::vector<Event> batch_;
   std::size_t events_processed_ = 0;
-  /// Mirror of queue_->size(), maintained here so the push hot path needs
-  /// no virtual call to track the high-water mark.
-  std::size_t pending_ = 0;
   std::size_t peak_queue_size_ = 0;
   telemetry::Counter* events_counter_ = nullptr;
   telemetry::Counter* advanced_counter_ = nullptr;

@@ -1,27 +1,15 @@
 #include "ghs/slo/monitor.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "ghs/serve/service.hpp"
 #include "ghs/timeseries/query.hpp"
 #include "ghs/util/error.hpp"
+#include "ghs/util/json.hpp"
 
 namespace ghs::slo {
 
 namespace {
-
-double to_ms(SimTime t) {
-  return static_cast<double>(t) / static_cast<double>(kMillisecond);
-}
-
-// One snprintf shape for every double in the report, so output is
-// byte-stable across runs and platforms.
-void write_double(std::ostream& os, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6f", value);
-  os << buf;
-}
 
 // The error budget is 1 - target; a perfect target would make the burn
 // rate divide by zero, so it is floored at one-in-a-billion.
@@ -61,34 +49,29 @@ void Report::write_json(std::ostream& os) const {
     const auto& obj = objectives[i];
     if (i > 0) os << ",";
     os << "{\"name\":\"" << obj.name << "\",\"kind\":\""
-       << objective_kind_name(obj.kind) << "\",\"target\":";
-    write_double(os, obj.target);
+       << objective_kind_name(obj.kind) << "\",\"target\":"
+       << fixed6(obj.target);
     if (obj.kind == ObjectiveKind::kLatencyQuantile) {
-      os << ",\"threshold_ms\":";
-      write_double(os, obj.threshold_ms);
+      os << ",\"threshold_ms\":" << fixed6(obj.threshold_ms);
     }
     os << ",\"samples\":" << obj.samples << ",\"good\":" << obj.good
-       << ",\"bad\":" << obj.bad << ",\"compliance\":";
-    write_double(os, obj.compliance);
-    os << ",\"budget_burn\":";
-    write_double(os, obj.budget_burn);
+       << ",\"bad\":" << obj.bad << ",\"compliance\":"
+       << fixed6(obj.compliance);
+    os << ",\"budget_burn\":" << fixed6(obj.budget_burn);
     os << ",\"met\":" << (obj.met ? "true" : "false") << ",\"burn\":[";
     for (std::size_t j = 0; j < obj.burn.size(); ++j) {
       const auto& rule = obj.burn[j];
       if (j > 0) os << ",";
-      os << "{\"severity\":\"" << rule.severity << "\",\"long_window_ms\":";
-      write_double(os, to_ms(rule.long_window));
-      os << ",\"short_window_ms\":";
-      write_double(os, to_ms(rule.short_window));
-      os << ",\"threshold\":";
-      write_double(os, rule.threshold);
-      os << ",\"peak_burn\":";
-      write_double(os, rule.peak_burn);
+      os << "{\"severity\":\"" << rule.severity << "\",\"long_window_ms\":"
+         << fixed6(to_ms(rule.long_window));
+      os << ",\"short_window_ms\":" << fixed6(to_ms(rule.short_window));
+      os << ",\"threshold\":" << fixed6(rule.threshold);
+      os << ",\"peak_burn\":" << fixed6(rule.peak_burn);
       os << ",\"alerts\":" << rule.alerts << ",\"first_alert_ms\":";
       if (rule.first_alert < 0) {
         os << "null";
       } else {
-        write_double(os, to_ms(rule.first_alert));
+        os << fixed6(to_ms(rule.first_alert));
       }
       os << "}";
     }
@@ -99,12 +82,9 @@ void Report::write_json(std::ostream& os) const {
     const auto& alert = alerts[i];
     if (i > 0) os << ",";
     os << "{\"objective\":\"" << alert.objective << "\",\"severity\":\""
-       << alert.severity << "\",\"at_ms\":";
-    write_double(os, to_ms(alert.at));
-    os << ",\"burn_long\":";
-    write_double(os, alert.burn_long);
-    os << ",\"burn_short\":";
-    write_double(os, alert.burn_short);
+       << alert.severity << "\",\"at_ms\":" << fixed6(to_ms(alert.at));
+    os << ",\"burn_long\":" << fixed6(alert.burn_long);
+    os << ",\"burn_short\":" << fixed6(alert.burn_short);
     os << "}";
   }
   os << "],\"total_alerts\":" << total_alerts() << "}";

@@ -4,16 +4,11 @@
 #include <string>
 #include <vector>
 
+#include "ghs/util/json.hpp"
+
 namespace ghs::telemetry {
 
 namespace {
-
-// One snprintf shape per role so output is byte-stable across runs.
-std::string fixed6(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6f", value);
-  return buf;
-}
 
 // Bucket bounds print compact ("0.05", "20"), matching Prometheus's
 // conventional le rendering.
@@ -35,13 +30,6 @@ std::string hex16(std::uint64_t id) {
   std::snprintf(buf, sizeof(buf), "%016llx",
                 static_cast<unsigned long long>(id));
   return buf;
-}
-
-void write_escaped_json(std::ostream& os, const std::string& text) {
-  for (char c : text) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
 }
 
 }  // namespace
@@ -125,7 +113,7 @@ void write_json_snapshot(std::ostream& os, const Registry& registry,
       if (!first) os << ",";
       first = false;
       os << "\"";
-      write_escaped_json(os, view.name + view.labels);
+      write_json_escaped(os, view.name + view.labels);
       os << "\":";
       switch (kind) {
         case Kind::kCounter:

@@ -1,25 +1,12 @@
 #include "ghs/timeseries/export.hpp"
 
-#include <cstdio>
 #include <string>
+
+#include "ghs/util/json.hpp"
 
 namespace ghs::timeseries {
 
 namespace {
-
-// One snprintf shape for every double, matching the telemetry exporters.
-std::string fixed6(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6f", value);
-  return buf;
-}
-
-void write_escaped_json(std::ostream& os, const std::string& text) {
-  for (char c : text) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-}
 
 void write_rollup_row(std::ostream& os, const Rollup& rollup) {
   os << "[" << rollup.begin << "," << rollup.end << "," << rollup.count
@@ -57,7 +44,7 @@ void write_series_json(std::ostream& os, const Tsdb& store,
     if (!first) os << ",";
     first = false;
     os << "\"";
-    write_escaped_json(os, series.key());
+    write_json_escaped(os, series.key());
     os << "\":{\"kind\":\"" << series_kind_name(series.kind())
        << "\",\"points\":" << series.points()
        << ",\"dropped\":" << series.dropped()

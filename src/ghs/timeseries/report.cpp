@@ -4,27 +4,11 @@
 #include <cstdio>
 
 #include "ghs/stats/summary.hpp"
+#include "ghs/util/json.hpp"
 
 namespace ghs::timeseries {
 
 namespace {
-
-std::string fixed6(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6f", value);
-  return buf;
-}
-
-double to_ms(SimTime t) {
-  return static_cast<double>(t) / static_cast<double>(kMillisecond);
-}
-
-void write_escaped_json(std::ostream& os, const std::string& text) {
-  for (char c : text) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-}
 
 bool starts_with(const std::string& text, const char* prefix) {
   return text.rfind(prefix, 0) == 0;
@@ -112,7 +96,7 @@ void write_stats_json(std::ostream& os,
     const auto& s = stats[i];
     if (i > 0) os << ",";
     os << "{\"series\":\"";
-    write_escaped_json(os, s.series);
+    write_json_escaped(os, s.series);
     os << "\",\"samples\":" << s.samples << ",\"mean\":" << fixed6(s.mean)
        << ",\"p95\":" << fixed6(s.p95) << ",\"peak\":" << fixed6(s.peak)
        << ",\"peak_at_ms\":" << fixed6(to_ms(s.peak_at)) << "}";
@@ -169,7 +153,7 @@ void TimelineReport::write_json(std::ostream& os) const {
     const auto& w = saturation[i];
     if (i > 0) os << ",";
     os << "{\"series\":\"";
-    write_escaped_json(os, w.series);
+    write_json_escaped(os, w.series);
     os << "\",\"begin_ms\":" << fixed6(to_ms(w.begin))
        << ",\"end_ms\":" << fixed6(to_ms(w.end)) << ",\"points\":" << w.points
        << ",\"peak\":" << fixed6(w.peak) << "}";

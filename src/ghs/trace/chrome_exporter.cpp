@@ -1,51 +1,17 @@
 #include "ghs/trace/chrome_exporter.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <vector>
+
+#include "ghs/util/json.hpp"
 
 namespace ghs::trace {
 
 namespace {
 
-void write_escaped(std::ostream& os, const std::string& text) {
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      case '\r':
-        os << "\\r";
-        break;
-      case '\b':
-        os << "\\b";
-        break;
-      case '\f':
-        os << "\\f";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-}
-
+// Chrome trace timestamps are microseconds; export simulated picoseconds
+// as fractional microseconds (1 ps = 1e-6 us) to keep full resolution.
 double to_trace_us(SimTime t) { return static_cast<double>(t) * 1e-6; }
 
 }  // namespace
@@ -131,7 +97,7 @@ void ChromeTraceExporter::write(std::ostream& os) const {
       sep();
       os << "{\"pid\":" << kTelemetryPid << ",\"tid\":" << i
          << ",\"ph\":\"M\",\"name\":\"thread_name\",\"args\":{\"name\":\"";
-      write_escaped(os, counters_[i].name);
+      write_json_escaped(os, counters_[i].name);
       os << "\"}}";
     }
   }
@@ -146,7 +112,7 @@ void ChromeTraceExporter::write(std::ostream& os) const {
       sep();
       os << "{\"pid\":" << kProfilePid << ",\"tid\":" << i
          << ",\"ph\":\"M\",\"name\":\"thread_name\",\"args\":{\"name\":\"";
-      write_escaped(os, profiles_[i].name);
+      write_json_escaped(os, profiles_[i].name);
       os << "\"}}";
     }
   }
@@ -163,7 +129,7 @@ void ChromeTraceExporter::write(std::ostream& os) const {
     if (!detail.empty()) {
       key("detail");
       os << "\"";
-      write_escaped(os, detail);
+      write_json_escaped(os, detail);
       os << "\"";
     }
     if (ctx.valid()) {
@@ -183,7 +149,7 @@ void ChromeTraceExporter::write(std::ostream& os) const {
        << ",\"tid\":" << static_cast<int>(span.track)
        << ",\"ph\":\"X\",\"ts\":" << to_trace_us(span.begin)
        << ",\"dur\":" << to_trace_us(span.end - span.begin) << ",\"name\":\"";
-    write_escaped(os, span.name);
+    write_json_escaped(os, span.name);
     os << "\"";
     if (!span.detail.empty() || span.ctx.valid()) {
       write_ctx_args(span.ctx, span.detail);
@@ -196,7 +162,7 @@ void ChromeTraceExporter::write(std::ostream& os) const {
        << ",\"tid\":" << static_cast<int>(instant.track)
        << ",\"ph\":\"i\",\"ts\":" << to_trace_us(instant.at)
        << ",\"s\":\"t\",\"name\":\"";
-    write_escaped(os, instant.name);
+    write_json_escaped(os, instant.name);
     os << "\"";
     if (instant.ctx.valid()) {
       write_ctx_args(instant.ctx, {});
@@ -239,17 +205,15 @@ void ChromeTraceExporter::write(std::ostream& os) const {
   }
 
   // Counter tracks last: "ph":"C" samples on the telemetry process, one
-  // tid per track, values through one snprintf shape for byte stability.
+  // tid per track, values through fixed6 for byte stability.
   for (std::size_t i = 0; i < counters_.size(); ++i) {
     for (const auto& sample : counters_[i].samples) {
-      char value_buf[64];
-      std::snprintf(value_buf, sizeof(value_buf), "%.6f", sample.value);
       sep();
       os << "{\"pid\":" << kTelemetryPid << ",\"tid\":" << i
          << ",\"ph\":\"C\",\"ts\":" << to_trace_us(sample.at)
          << ",\"name\":\"";
-      write_escaped(os, counters_[i].name);
-      os << "\",\"args\":{\"value\":" << value_buf << "}}";
+      write_json_escaped(os, counters_[i].name);
+      os << "\",\"args\":{\"value\":" << fixed6(sample.value) << "}}";
     }
   }
 
@@ -262,7 +226,7 @@ void ChromeTraceExporter::write(std::ostream& os) const {
          << ",\"ph\":\"X\",\"ts\":" << to_trace_us(slice.begin)
          << ",\"dur\":" << to_trace_us(slice.end - slice.begin)
          << ",\"name\":\"";
-      write_escaped(os, slice.name);
+      write_json_escaped(os, slice.name);
       os << "\"}";
     }
   }
@@ -271,9 +235,7 @@ void ChromeTraceExporter::write(std::ostream& os) const {
   // Sampling metadata appears only when a sampler is active, so rate-1.0
   // output stays byte-identical to unsampled output.
   if (tracer_.sampler_active()) {
-    char rate_buf[32];
-    std::snprintf(rate_buf, sizeof(rate_buf), "%.6f", tracer_.sample_rate());
-    os << ",\"sampling\":{\"rate\":" << rate_buf
+    os << ",\"sampling\":{\"rate\":" << fixed6(tracer_.sample_rate())
        << ",\"seed\":" << tracer_.sampler_seed()
        << ",\"dropped_by_sampler\":" << tracer_.dropped_by_sampler() << "}";
   }

@@ -1,7 +1,6 @@
-// ChromeTraceExporter: the richer Chrome/Perfetto export over a Tracer.
+// ChromeTraceExporter: the Chrome/Perfetto export of a Tracer's capture.
 //
-// Where Tracer::write_chrome_json draws every track inside one process,
-// this exporter maps the capture the way Perfetto expects a real system
+// The exporter maps the capture the way Perfetto expects a real system
 // trace: one *process* per device (H100 GPU, Grace CPU, reduction
 // service), one *thread* per track, span-context ids rendered into each
 // event's args, and flow events stitching the spans of one trace together

@@ -14,6 +14,7 @@
 #include "ghs/serve/service.hpp"
 #include "ghs/telemetry/exporters.hpp"
 #include "ghs/telemetry/registry.hpp"
+#include "ghs/trace/chrome_exporter.hpp"
 #include "ghs/trace/tracer.hpp"
 
 namespace ghs::cluster {
@@ -58,7 +59,7 @@ RunOutput run_standalone(std::uint64_t seed) {
   telemetry::write_json_snapshot(metrics, registry);
   out.metrics = metrics.str();
   std::ostringstream trace_json;
-  tracer.write_chrome_json(trace_json);
+  trace::ChromeTraceExporter(tracer).write(trace_json);
   out.trace = trace_json.str();
   return out;
 }
@@ -84,7 +85,7 @@ RunOutput run_passthrough(std::uint64_t seed) {
   telemetry::write_json_snapshot(metrics, registry);
   out.metrics = metrics.str();
   std::ostringstream trace_json;
-  tracer.write_chrome_json(trace_json);
+  trace::ChromeTraceExporter(tracer).write(trace_json);
   out.trace = trace_json.str();
   return out;
 }

@@ -1,24 +1,19 @@
-// End-to-end equivalence of the event-core configuration knobs: the event
-// queue implementation (heap vs calendar) and the trace head sampler are
-// pure performance choices, so the same seed must produce byte-identical
-// reports, telemetry snapshots, and (at rate 1.0) trace files whichever
-// way they are set. Also pins the chained arrival pump's contract: the
-// same dispatch order as per-job submit(), with an event queue that stays
-// shallow no matter how large the batch is.
+// End-to-end contracts of the serve layer's event-core plumbing. The
+// chained arrival pump dispatches in the same order as per-job submit(),
+// with an event queue that stays shallow no matter how large the batch is;
+// the trace head sampler is a pure performance choice, so the same seed
+// produces a byte-identical report whatever the rate, and (at rate 1.0) a
+// byte-identical trace file.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <sstream>
 #include <string>
 
-#include "ghs/fault/injector.hpp"
-#include "ghs/fault/plan.hpp"
 #include "ghs/serve/loadgen.hpp"
 #include "ghs/serve/policy.hpp"
 #include "ghs/serve/service.hpp"
-#include "ghs/sim/event_queue.hpp"
-#include "ghs/telemetry/exporters.hpp"
-#include "ghs/telemetry/registry.hpp"
+#include "ghs/trace/chrome_exporter.hpp"
 #include "ghs/trace/tracer.hpp"
 
 namespace ghs::serve {
@@ -32,61 +27,6 @@ OpenLoopOptions small_workload(std::uint64_t seed) {
   load.shape.min_log2_elements = 14;
   load.shape.max_log2_elements = 18;
   return load;
-}
-
-struct RunOutput {
-  std::string report;
-  std::string metrics;
-  std::size_t peak_queue = 0;
-};
-
-/// One full service run: report JSON plus the telemetry JSON snapshot.
-RunOutput run_once(sim::QueueKind queue, std::uint64_t seed,
-                   bool chaos = false) {
-  telemetry::Registry registry;
-  const auto plan = fault::parse_plan(
-      "kernel-fault gpu p=0.05\n"
-      "device-down gpu from=400us until=700us\n");
-  fault::Injector injector(plan, 7, {&registry, nullptr});
-  ServiceModel model;
-  ServiceOptions options;
-  options.queue_depth = 16;
-  options.sim.queue = queue;
-  options.telemetry.metrics = &registry;
-  if (chaos) options.injector = &injector;
-  ReductionService service(make_policy("fifo", model), model, options);
-  service.submit_all(open_loop_poisson(small_workload(seed)));
-  service.run();
-  RunOutput out;
-  std::ostringstream report;
-  service.report().write_json(report);
-  out.report = report.str();
-  std::ostringstream metrics;
-  telemetry::write_json_snapshot(metrics, registry);
-  out.metrics = metrics.str();
-  out.peak_queue = service.sim().peak_queue_size();
-  return out;
-}
-
-TEST(QueueEquivalenceTest, HeapAndCalendarProduceIdenticalRuns) {
-  for (const std::uint64_t seed : {42u, 7u, 1234u}) {
-    const RunOutput heap = run_once(sim::QueueKind::kHeap, seed);
-    const RunOutput calendar = run_once(sim::QueueKind::kCalendar, seed);
-    EXPECT_EQ(heap.report, calendar.report) << "seed " << seed;
-    EXPECT_EQ(heap.metrics, calendar.metrics) << "seed " << seed;
-  }
-}
-
-TEST(QueueEquivalenceTest, EquivalenceHoldsUnderFaultInjection) {
-  const RunOutput heap = run_once(sim::QueueKind::kHeap, 42, /*chaos=*/true);
-  const RunOutput calendar =
-      run_once(sim::QueueKind::kCalendar, 42, /*chaos=*/true);
-  EXPECT_EQ(heap.report, calendar.report);
-  EXPECT_EQ(heap.metrics, calendar.metrics);
-  // The chaos plan actually fired (otherwise this test proves nothing):
-  // the fault section is present and records at least one GPU failure.
-  EXPECT_NE(heap.report.find("\"gpu_failures\":"), std::string::npos);
-  EXPECT_EQ(heap.report.find("\"gpu_failures\":0"), std::string::npos);
 }
 
 TEST(QueueEquivalenceTest, ChainedPumpKeepsTheQueueShallow) {
@@ -154,7 +94,7 @@ std::pair<std::string, std::string> traced_run(double rate) {
   std::ostringstream report;
   service.report().write_json(report);
   std::ostringstream trace_json;
-  tracer.write_chrome_json(trace_json);
+  trace::ChromeTraceExporter(tracer).write(trace_json);
   return {report.str(), trace_json.str()};
 }
 
@@ -168,7 +108,7 @@ TEST(SamplerEquivalenceTest, RateOneIsByteIdenticalToNoSampler) {
   service.submit_all(open_loop_poisson(small_workload(42)));
   service.run();
   std::ostringstream plain_trace;
-  plain.write_chrome_json(plain_trace);
+  trace::ChromeTraceExporter(plain).write(plain_trace);
 
   const auto [report, sampled_trace] = traced_run(1.0);
   EXPECT_EQ(sampled_trace, plain_trace.str());

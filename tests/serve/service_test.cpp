@@ -7,6 +7,7 @@
 
 #include "ghs/serve/loadgen.hpp"
 #include "ghs/serve/policy.hpp"
+#include "ghs/trace/chrome_exporter.hpp"
 
 namespace ghs::serve {
 namespace {
@@ -168,7 +169,7 @@ TEST(ReductionServiceTest, ServerSpansLandOnTheServerTrack) {
   EXPECT_EQ(server_spans, 3u);  // blocker + 2 queued launches
   EXPECT_EQ(reject_marks, 3u);
   std::ostringstream json;
-  tracer.write_chrome_json(json);
+  trace::ChromeTraceExporter(tracer).write(json);
   EXPECT_NE(json.str().find("Reduction service"), std::string::npos);
 }
 

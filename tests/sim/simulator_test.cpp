@@ -126,29 +126,5 @@ TEST(SimulatorTest, PeakQueueSizeTracksHighWaterMark) {
   EXPECT_EQ(sim.peak_queue_size(), 3u);
 }
 
-TEST(SimulatorTest, QueueKindFollowsConfig) {
-  Simulator heap_sim;
-  EXPECT_EQ(heap_sim.queue_kind(), QueueKind::kHeap);
-  Simulator cal_sim(SimConfig{QueueKind::kCalendar});
-  EXPECT_EQ(cal_sim.queue_kind(), QueueKind::kCalendar);
-}
-
-TEST(SimulatorTest, CalendarBackedRunMatchesHeapBackedRun) {
-  std::vector<std::vector<SimTime>> seen(2);
-  for (int which = 0; which < 2; ++which) {
-    SimConfig config;
-    config.queue = which == 0 ? QueueKind::kHeap : QueueKind::kCalendar;
-    Simulator sim(config);
-    std::vector<SimTime>& out = seen[static_cast<std::size_t>(which)];
-    for (SimTime t : {30, 10, 10, 50, 20}) {
-      sim.schedule_at(t, [&out, &sim] { out.push_back(sim.now()); });
-    }
-    sim.run();
-    EXPECT_EQ(sim.events_processed(), 5u);
-  }
-  EXPECT_EQ(seen[0], seen[1]);
-  EXPECT_EQ(seen[0], (std::vector<SimTime>{10, 10, 20, 30, 50}));
-}
-
 }  // namespace
 }  // namespace ghs::sim

@@ -56,6 +56,23 @@ TEST(ExportersTest, JsonSnapshotGolden) {
   EXPECT_EQ(oss.str(), want);
 }
 
+TEST(ExportersTest, JsonSnapshotEscapesControlCharactersInLabels) {
+  // Label values are only Prometheus-escaped (`"` and `\`) when the
+  // instrument registers; a newline or other control byte in one must
+  // still reach the JSON snapshot escaped, or the file is not JSON.
+  Registry registry;
+  registry.counter("ghs_test_total", {{"tenant", "a\nb\x01"}}, "").inc();
+  std::ostringstream oss;
+  write_json_snapshot(oss, registry);
+  const std::string json = oss.str();
+  EXPECT_NE(json.find("\"ghs_test_total{tenant=\\\"a\\nb\\u0001\\\"}\":1"),
+            std::string::npos)
+      << json;
+  for (char c : json) {
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20u);
+  }
+}
+
 TEST(ExportersTest, IdenticalValuesGiveByteIdenticalSnapshots) {
   Registry a;
   Registry b;

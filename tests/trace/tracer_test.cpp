@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "ghs/core/reduce.hpp"
+#include "ghs/trace/chrome_exporter.hpp"
 #include "ghs/util/error.hpp"
 
 namespace ghs::trace {
@@ -47,7 +48,7 @@ TEST(TracerTest, ServerTrackIsNamedAndExported) {
   Tracer tracer;
   tracer.record(Track::kServer, "C1 x4 @GPU", 0, 100);
   std::ostringstream oss;
-  tracer.write_chrome_json(oss);
+  ChromeTraceExporter(tracer).write(oss);
   const std::string json = oss.str();
   EXPECT_NE(json.find("Reduction service"), std::string::npos);
   EXPECT_NE(json.find("C1 x4 @GPU"), std::string::npos);
@@ -65,7 +66,7 @@ TEST(TracerTest, ChromeJsonIsWellFormed) {
   tracer.record(Track::kGpu, "kernel", 1000, 3000, "grid=16");
   tracer.mark(Track::kRuntime, "update", 500);
   std::ostringstream oss;
-  tracer.write_chrome_json(oss);
+  ChromeTraceExporter(tracer).write(oss);
   const std::string json = oss.str();
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
@@ -91,7 +92,7 @@ TEST(TracerTest, JsonEscapesSpecialCharacters) {
   Tracer tracer;
   tracer.record(Track::kGpu, "with \"quote\" and \\slash", 0, 1);
   std::ostringstream oss;
-  tracer.write_chrome_json(oss);
+  ChromeTraceExporter(tracer).write(oss);
   EXPECT_NE(oss.str().find("with \\\"quote\\\" and \\\\slash"),
             std::string::npos);
 }
@@ -104,7 +105,7 @@ TEST(TracerTest, JsonEscapesHostileSpanNames) {
   tracer.record(Track::kServer, "evil\t\"name\"\nwith\\stuff\x01", 0, 1,
                 "detail\rwith\fcontrols\b");
   std::ostringstream oss;
-  tracer.write_chrome_json(oss);
+  ChromeTraceExporter(tracer).write(oss);
   const std::string json = oss.str();
   EXPECT_NE(
       json.find("evil\\t\\\"name\\\"\\nwith\\\\stuff\\u0001"),
@@ -253,7 +254,7 @@ TEST(TracerSamplerTest, RateOneJsonIsByteIdenticalToUnsampled) {
                   Context{derive_trace_id(3), 1, 0});
     tracer.mark(Track::kRuntime, "m", 50);
     std::ostringstream os;
-    tracer.write_chrome_json(os);
+    ChromeTraceExporter(tracer).write(os);
     return os.str();
   };
   Tracer plain;
@@ -267,7 +268,7 @@ TEST(TracerSamplerTest, ActiveSamplerIsVisibleInJson) {
   tracer.set_sampler(SamplerOptions{0.25, 5});
   tracer.record(Track::kGpu, "kernel", 0, 10);
   std::ostringstream os;
-  tracer.write_chrome_json(os);
+  ChromeTraceExporter(tracer).write(os);
   const std::string json = os.str();
   EXPECT_NE(json.find("\"sampling\":{\"rate\":0.250000,\"seed\":5"),
             std::string::npos);
